@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-update
+.PHONY: build test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-hub fingerprint-update
 
 # Tier-1 verification: everything must build, vet clean, lint clean,
 # and pass.
@@ -90,10 +90,10 @@ fuzz:
 # lint, race-clean tests, and the short fuzz budget.
 check: build vet lint race fuzz
 
-# One-command CI gate: build + vet + lint + race + fingerprint +
-# fingerprint-pooled, in order, stopping at the first failure
-# (scripts/ci.sh). Fuzz and the full distributed battery are the
-# slower `check`/`race-dist` add-ons.
+# One-command CI gate: build + vet + lint + race + race-hub +
+# race-search + fingerprint + fingerprint-pooled + fingerprint-hub, in
+# order, stopping at the first failure (scripts/ci.sh). Fuzz and the
+# full distributed battery are the slower `check`/`race-dist` add-ons.
 ci:
 	./scripts/ci.sh
 
@@ -125,6 +125,13 @@ fingerprint:
 # allocation.
 fingerprint-pooled:
 	$(GO) run ./cmd/fingerprint -pooled
+
+# Tenancy safety net: every canonical cell runs concurrently as one
+# session of a single hub (hub.RunMany), and each session's fingerprint
+# must match the goldens — hosting many sessions in one process changes
+# no trajectory.
+fingerprint-hub:
+	$(GO) run ./cmd/fingerprint -hub
 
 fingerprint-update:
 	$(GO) run ./cmd/fingerprint -update

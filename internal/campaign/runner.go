@@ -12,12 +12,10 @@
 package campaign
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"teledrive/internal/core"
@@ -227,11 +225,10 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// Execute runs the plan's cells on a bounded worker pool
-// (Config.Workers wide; 1 = the exact legacy sequential path) and
-// reassembles the results in deterministic subject/scenario order. The
-// first cell failure (in cell order) cancels all outstanding work and
-// is returned.
+// Execute runs the plan's cells through ExecuteCells (Config.Workers
+// wide) and reassembles the results in deterministic subject/scenario
+// order. The first cell failure (in cell order) stops new cells from
+// starting and is returned.
 func (p *Plan) Execute() (*Result, error) {
 	started := time.Now() //lint:allow wallclock measures the bench's own cost (Result.Elapsed); simulated time comes from simclock
 
@@ -266,104 +263,36 @@ func (p *Plan) Execute() (*Result, error) {
 	return p.assemble(results, started), nil
 }
 
-// ExecuteCells runs independent cell specs on a bounded worker pool:
-// the execute phase detached from campaign plans, shared with the
-// adversarial search driver. workers ≤ 1 is the exact legacy sequential
-// path (one run arena, first error aborts); otherwise a pool of that
-// many workers, each owning one run arena, with the first failure
-// cancelling outstanding work. Results come back indexed like specs.
-// On error the returned int is the lowest failing spec index —
+// ExecuteCells runs independent cell specs through the shared cell
+// executor (session.Execute): the execute phase detached from campaign
+// plans, shared with the adversarial search driver. A non-positive
+// workers runs sequentially. Each worker owns one run arena; the first
+// failure stops new cells from starting. Results come back indexed like
+// specs. On error the returned int is the lowest failing spec index —
 // deterministic even when several cells fail concurrently — and the
 // error is the bare cell error (callers add their own context). ins may
 // be nil (no telemetry); arts is the shared immutable-artifact cache
 // set on every spec alongside the worker's scratch arena.
 func ExecuteCells(specs []core.RunSpec, workers int, ins *Instruments, arts *scenario.ArtifactCache) ([]*core.Result, int, error) {
-	results := make([]*core.Result, len(specs))
-	if workers > len(specs) {
-		workers = len(specs)
+	// Per-worker handles bind before the pool starts; the worker body
+	// only increments.
+	perWorker := make([]*telemetry.Counter, max(1, min(workers, len(specs))))
+	if ins != nil {
+		for w := range perWorker {
+			perWorker[w] = ins.WorkerCells(w)
+		}
 	}
-
-	if workers <= 1 {
-		// Legacy path: strictly sequential, first error aborts. One run
-		// arena serves every cell.
-		scratch := session.NewRunScratch()
-		var w0 *telemetry.Counter
+	return session.Execute(len(specs), workers, session.NewArenas(workers), func(scr *session.RunScratch, w, ci int) (*core.Result, error) {
 		if ins != nil {
-			w0 = ins.WorkerCells(0)
+			ins.CellsInFlight.Inc()
 		}
-		for ci := range specs {
-			if ins != nil {
-				ins.CellsInFlight.Inc()
-			}
-			spec := specs[ci]
-			spec.Scratch = scratch
-			spec.Artifacts = arts
-			r, err := core.RunOne(spec)
-			ins.cellDone(r, w0, err)
-			if err != nil {
-				return nil, ci, err
-			}
-			results[ci] = r
-		}
-		return results, -1, nil
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	jobs := make(chan int)
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Per-worker handles bind on the spawning goroutine; the worker
-		// body only increments.
-		var wc *telemetry.Counter
-		if ins != nil {
-			wc = ins.WorkerCells(w)
-		}
-		go func() {
-			defer wg.Done()
-			// Each worker owns one run arena for its whole cell stream;
-			// the artifact cache is shared (immutable artifacts, mutex
-			// inside).
-			scratch := session.NewRunScratch()
-			for ci := range jobs {
-				// After a failure elsewhere, drain the queue without
-				// starting new simulations.
-				if ctx.Err() != nil {
-					continue
-				}
-				if ins != nil {
-					ins.CellsInFlight.Inc()
-				}
-				spec := specs[ci]
-				spec.Scratch = scratch
-				spec.Artifacts = arts
-				r, err := core.RunOne(spec)
-				ins.cellDone(r, wc, err)
-				if err != nil {
-					errs[ci] = err
-					cancel()
-					continue
-				}
-				results[ci] = r
-			}
-		}()
-	}
-	for ci := range specs {
-		jobs <- ci
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Report the lowest-index failure for a deterministic error even
-	// when several cells fail concurrently.
-	for ci, err := range errs {
-		if err != nil {
-			return nil, ci, err
-		}
-	}
-	return results, -1, nil
+		spec := specs[ci]
+		spec.Scratch = scr
+		spec.Artifacts = arts
+		r, err := core.RunOne(spec)
+		ins.cellDone(r, perWorker[w], err)
+		return r, err
+	})
 }
 
 // Assemble folds externally executed per-cell results into the

@@ -3,6 +3,7 @@ package campaignd
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -113,6 +114,56 @@ func TestChaosCoordinatorKilledAndResumed(t *testing.T) {
 	}
 	if !strings.Contains(prom, `campaignd_cells_total{event="done"} 4`) {
 		t.Errorf("want 4 freshly run cells on resume, got:\n%s", grepLine(prom, `event="done"`))
+	}
+}
+
+// TestChaosCoordinatorTornJournalResumed kills the coordinator after two
+// journaled cells and tears a half-written entry onto the journal (a
+// crash mid-append). A resumed coordinator must drop the torn line and
+// append after it cleanly, so a second kill-and-resume still replays
+// every journaled cell and the final tables equal the single-process
+// run.
+func TestChaosCoordinatorTornJournalResumed(t *testing.T) {
+	skipInShort(t)
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	haltAfter := func(n int) {
+		t.Helper()
+		coord := &Coordinator{Spec: testSpec(), JournalPath: journal, haltAfterJournaled: n}
+		addr, done := startCoordinator(t, coord, nil)
+		doomed := runWorker(context.Background(), &Worker{ID: "doomed", Capacity: 1}, addr)
+		if cr := waitCoord(t, done, 2*time.Minute); !errors.Is(cr.err, ErrHalted) {
+			t.Fatalf("want ErrHalted from the killed coordinator, got %v", cr.err)
+		}
+		<-doomed
+	}
+
+	haltAfter(2)
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"cell":5,"outco`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	haltAfter(2)
+
+	reg := telemetry.NewRegistry()
+	final := &Coordinator{Spec: testSpec(), JournalPath: journal, Registry: reg}
+	addr, done := startCoordinator(t, final, nil)
+	w := runWorker(context.Background(), &Worker{ID: "w", Capacity: 2}, addr)
+	cr := waitCoord(t, done, 2*time.Minute)
+	if cr.err != nil {
+		t.Fatalf("second resume after a torn journal: %v", cr.err)
+	}
+	if err := <-w; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	assertEqualToReference(t, cr.res)
+	if prom := promDump(t, reg); !strings.Contains(prom, `campaignd_cells_total{event="restored"} 4`) {
+		t.Errorf("want 4 restored cells on the second resume, got:\n%s", grepLine(prom, "restored"))
 	}
 }
 

@@ -1,13 +1,12 @@
 package campaignd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
+	journalfile "teledrive/internal/journal"
 	"teledrive/internal/rds"
 )
 
@@ -27,7 +26,7 @@ type journalHeader struct {
 // journalEntry is one completed cell: its index, the worker-measured
 // wall-clock cost, and the full outcome JSON as produced by the worker.
 // Appends are atomic at line granularity; a torn final line (the
-// coordinator died mid-write) is detected and dropped on load.
+// coordinator died mid-write) is dropped and truncated on load.
 type journalEntry struct {
 	Cell      int             `json:"cell"`
 	Worker    string          `json:"worker,omitempty"`
@@ -35,142 +34,74 @@ type journalEntry struct {
 	Outcome   json.RawMessage `json:"outcome"`
 }
 
-// journal is the coordinator's crash-recovery log. All access is from
+// journal is the coordinator's crash-recovery log (internal/journal)
+// plus the decoded outcome of every journaled cell. All access is from
 // the coordinator event loop.
 type journal struct {
-	f *os.File
-	w *bufio.Writer
-	// outcomes holds the decoded result of every journaled cell.
+	file     *journalfile.Journal
 	outcomes map[int]*rds.Outcome
 	elapsed  map[int]int64
 }
 
 // openJournal opens (or creates) the journal at path and replays it.
 // digest/cells identify the current plan; a journal written for a
-// different plan is an error, not a silent restart. An empty path
-// returns an in-memory journal (no crash recovery — tests and one-shot
-// runs).
+// different plan is an error, not a silent restart. A cell journaled
+// twice (a crash window between journaling and acknowledging) keeps its
+// first entry, even across restarts. An empty path returns an in-memory
+// journal (no crash recovery — tests and one-shot runs).
 func openJournal(path, digest string, cells int) (*journal, error) {
 	j := &journal{
 		outcomes: make(map[int]*rds.Outcome),
 		elapsed:  make(map[int]int64),
 	}
-	if path == "" {
-		return j, nil
-	}
-
-	existing, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		// Fresh journal below.
-	case err != nil:
-		return nil, fmt.Errorf("campaignd: journal: %w", err)
-	case len(existing) > 0:
-		if err := j.replay(existing, digest, cells); err != nil {
-			return nil, err
+	accept := func(hdr journalHeader) error {
+		if hdr.Journal != journalMagic {
+			return fmt.Errorf("journal: not a campaignd journal (bad header)")
 		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaignd: journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	if len(existing) == 0 {
-		hdr, err := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Digest: digest, Cells: cells})
-		if err != nil {
-			return nil, err
+		if hdr.Digest != digest {
+			return fmt.Errorf("journal was written for a different plan (journal digest %.12s…, plan digest %.12s…) — refusing to resume", hdr.Digest, digest)
 		}
-		if _, err := j.w.Write(append(hdr, '\n')); err != nil {
-			return nil, err
-		}
-		if err := j.w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return j, nil
-}
-
-// replay loads a pre-existing journal. The final line may be torn (no
-// trailing newline, or unparseable) — the coordinator died mid-append —
-// and is dropped; any earlier malformed line means real corruption and
-// fails loudly.
-func (j *journal) replay(data []byte, digest string, cells int) error {
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', so the last split element is
-	// empty; anything else is a torn tail.
-	torn := len(lines[len(lines)-1]) > 0
-	complete := lines[:len(lines)-1]
-
-	if len(complete) == 0 {
-		if torn {
-			return nil // died while writing the header: treat as fresh
+		if hdr.Cells != cells {
+			return fmt.Errorf("journal plan has %d cells, current plan has %d — refusing to resume", hdr.Cells, cells)
 		}
 		return nil
 	}
-	var hdr journalHeader
-	if err := json.Unmarshal(complete[0], &hdr); err != nil || hdr.Journal != journalMagic {
-		return fmt.Errorf("campaignd: journal: not a campaignd journal (bad header)")
-	}
-	if hdr.Digest != digest {
-		return fmt.Errorf("campaignd: journal was written for a different plan (journal digest %.12s…, plan digest %.12s…) — refusing to resume", hdr.Digest, digest)
-	}
-	if hdr.Cells != cells {
-		return fmt.Errorf("campaignd: journal plan has %d cells, current plan has %d — refusing to resume", hdr.Cells, cells)
-	}
-	for i, line := range complete[1:] {
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return fmt.Errorf("campaignd: journal line %d corrupt: %w", i+2, err)
-		}
+	replay := func(line int, e journalEntry) error {
 		if e.Cell < 0 || e.Cell >= cells {
-			return fmt.Errorf("campaignd: journal line %d: cell %d out of range", i+2, e.Cell)
+			return fmt.Errorf("journal line %d: cell %d out of range", line, e.Cell)
 		}
 		if _, dup := j.outcomes[e.Cell]; dup {
-			continue // first write wins, even across restarts
+			return nil // first write wins
 		}
 		out, err := decodeOutcome(e.Outcome)
 		if err != nil {
-			return fmt.Errorf("campaignd: journal line %d: %w", i+2, err)
+			return fmt.Errorf("journal line %d: %w", line, err)
 		}
 		j.outcomes[e.Cell] = out
 		j.elapsed[e.Cell] = e.ElapsedNS
+		return nil
 	}
-	return nil
+	hdr := journalHeader{Journal: journalMagic, V: 1, Digest: digest, Cells: cells}
+	f, err := journalfile.Open(path, hdr, accept, replay)
+	if err != nil {
+		return nil, fmt.Errorf("campaignd: %w", err)
+	}
+	j.file = f
+	return j, nil
 }
 
-// append records one completed cell: the decoded outcome in memory and,
-// when backed by a file, the raw entry as one flushed JSONL line.
+// append records one completed cell: the decoded outcome in memory and
+// the raw entry as one flushed JSONL line.
 func (j *journal) append(e journalEntry, out *rds.Outcome) error {
 	j.outcomes[e.Cell] = out
 	j.elapsed[e.Cell] = e.ElapsedNS
-	if j.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("campaignd: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("campaignd: journal flush: %w", err)
+	if err := j.file.Append(e); err != nil {
+		return fmt.Errorf("campaignd: %w", err)
 	}
 	return nil
 }
 
-func (j *journal) close() error {
-	if j.f == nil {
-		return nil
-	}
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
+func (j *journal) close() error { return j.file.Close() }
 
 // decodeOutcome parses a worker-produced outcome JSON. The round-trip
 // is exact: Go's JSON encoder emits the shortest float64 representation

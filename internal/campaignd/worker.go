@@ -122,16 +122,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 	// Sized to the whole plan: the coordinator may re-lease expired
 	// cells to this worker while its runners are busy, and a lease must
-	// never block the read loop.
+	// never block the read loop. The runners share one artifact cache;
+	// each owns the run arena the executor hands it.
 	jobs := make(chan int, len(plan.Cells)+1)
-	var wg sync.WaitGroup
-	for i := 0; i < w.capacity(); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.runCells(ctx, plan.Cells, jobs, send, ins)
-		}()
-	}
+	arts := scenario.NewArtifactCache()
+	waitCells := session.Stream(jobs, w.capacity(), session.NewArenas(w.capacity()), func(scr *session.RunScratch, _, cell int) {
+		w.runCell(ctx, plan.Cells[cell], cell, scr, arts, send, ins)
+	})
 
 	hbStop := make(chan struct{})
 	var hbWg sync.WaitGroup
@@ -155,7 +152,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	cleanup := func() {
 		close(jobs)
 		close(hbStop)
-		wg.Wait()
+		waitCells()
 		hbWg.Wait()
 	}
 
@@ -187,44 +184,37 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 	}
 }
 
-// runCells is one pool runner: it executes leased cells and streams
-// their outcomes back. Send errors are deliberately dropped — the read
-// loop observes the connection death and unwinds the whole worker.
-func (w *Worker) runCells(ctx context.Context, cells []campaign.RunCell, jobs <-chan int, send func(*msg) error, ins *workerInstruments) {
-	// One run arena and one artifact cache per pool runner: leased cells
-	// execute strictly sequentially here, and the scratch's RunLog is
-	// detached by RunOne before the next lease reuses it.
-	scratch := session.NewRunScratch()
-	arts := scenario.NewArtifactCache()
-	for cell := range jobs {
-		if ctx.Err() != nil {
-			continue // drain; the coordinator re-queues on disconnect
-		}
-		ins.gauge(+1)
-		spec := cells[cell].Spec
-		spec.Metrics = w.Registry
-		spec.Scratch = scratch
-		spec.Artifacts = arts
-		res, err := core.RunOne(spec)
-		ins.gauge(-1)
-		if err != nil {
-			ins.Failed.Inc()
-			w.logf("campaignd: worker %s: cell %d failed: %v", w.ID, cell, err)
-			_ = send(&msg{T: msgError, Cell: cell, Error: err.Error()})
-			continue
-		}
-		raw, err := json.Marshal(res.Outcome)
-		if err != nil {
-			ins.Failed.Inc()
-			_ = send(&msg{T: msgError, Cell: cell, Error: fmt.Sprintf("encode outcome: %v", err)})
-			continue
-		}
-		ins.Completed.Inc()
-		ins.ResultBytes.Add(uint64(len(raw)))
-		out := &msg{T: msgResult, Cell: cell, ElapsedNS: res.Elapsed.Nanoseconds(), Outcome: raw}
-		for _, m := range w.applyResultHook(out) {
-			_ = send(m)
-		}
+// runCell executes one leased cell on a pool runner's arena and streams
+// its outcome back. Send errors are deliberately dropped — the read loop
+// observes the connection death and unwinds the whole worker.
+func (w *Worker) runCell(ctx context.Context, c campaign.RunCell, cell int, scr *session.RunScratch, arts *scenario.ArtifactCache, send func(*msg) error, ins *workerInstruments) {
+	if ctx.Err() != nil {
+		return // drain; the coordinator re-queues on disconnect
+	}
+	ins.gauge(+1)
+	spec := c.Spec
+	spec.Metrics = w.Registry
+	spec.Scratch = scr
+	spec.Artifacts = arts
+	res, err := core.RunOne(spec)
+	ins.gauge(-1)
+	if err != nil {
+		ins.Failed.Inc()
+		w.logf("campaignd: worker %s: cell %d failed: %v", w.ID, cell, err)
+		_ = send(&msg{T: msgError, Cell: cell, Error: err.Error()})
+		return
+	}
+	raw, err := json.Marshal(res.Outcome)
+	if err != nil {
+		ins.Failed.Inc()
+		_ = send(&msg{T: msgError, Cell: cell, Error: fmt.Sprintf("encode outcome: %v", err)})
+		return
+	}
+	ins.Completed.Inc()
+	ins.ResultBytes.Add(uint64(len(raw)))
+	out := &msg{T: msgResult, Cell: cell, ElapsedNS: res.Elapsed.Nanoseconds(), Outcome: raw}
+	for _, m := range w.applyResultHook(out) {
+		_ = send(m)
 	}
 }
 

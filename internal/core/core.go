@@ -95,12 +95,10 @@ func RunOne(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Scratch != nil {
-		// The log lives in the scratch and is clobbered by the next run;
-		// results outlive cells (campaign aggregation reads them after
-		// the whole plan finishes), so detach it.
-		out.Log = out.Log.Clone()
-	}
+	// The log lives in the run arena and is clobbered by the arena's next
+	// run; results outlive cells (campaign aggregation reads them after
+	// the whole plan finishes), so detach it.
+	out.Log = out.Log.Clone()
 	return &Result{
 		Outcome:  out,
 		Analysis: AnalyzeRun(out.Log, spec.Scenario),

@@ -10,11 +10,12 @@
 // sized by the worker bound.
 //
 // The package has two halves. The in-process half (Run, RunMany)
-// executes rds sessions on goroutines — the campaign-style batch path
-// the hub benchmarks drive. The serving half (Serve, Station) exposes
-// the same hosting over one shared TCP listener: remote stations join
-// by scenario name and exchange session-id-routed bridge traffic with a
-// live per-session bridge.Server (wire.go, serve.go, station.go).
+// executes rds sessions — RunMany through the shared cell executor —
+// the campaign-style batch path the hub benchmarks drive. The serving
+// half (Serve, Station) exposes the same hosting over one shared TCP
+// listener: remote stations join by scenario name and exchange
+// session-id-routed bridge traffic with a live per-session bridge.Server
+// (wire.go, serve.go, station.go).
 package hub
 
 import (
@@ -53,10 +54,13 @@ type Hub struct {
 	active atomic.Int64 // sessions currently executing (batch + served)
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	scratch []*session.RunScratch // bounded freelist of run arenas
-	conns   map[*hubConn]struct{}
-	closed  bool
+	// arenas recycles run arenas across batch and served sessions,
+	// bounded by the worker count.
+	arenas *session.Arenas
+
+	mu     sync.Mutex
+	conns  map[*hubConn]struct{}
+	closed bool
 }
 
 // New builds a hub.
@@ -65,9 +69,10 @@ func New(cfg Config) *Hub {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	h := &Hub{
-		cfg:   cfg,
-		arts:  scenario.NewArtifactCache(),
-		conns: make(map[*hubConn]struct{}),
+		cfg:    cfg,
+		arts:   scenario.NewArtifactCache(),
+		arenas: session.NewArenas(cfg.Workers),
+		conns:  make(map[*hubConn]struct{}),
 	}
 	if cfg.Metrics != nil {
 		h.ins = NewInstruments(cfg.Metrics)
@@ -81,30 +86,6 @@ func (h *Hub) Artifacts() *scenario.ArtifactCache { return h.arts }
 
 // ActiveSessions reports how many sessions are executing right now.
 func (h *Hub) ActiveSessions() int { return int(h.active.Load()) }
-
-// getScratch pops a run arena off the freelist or makes a fresh one.
-func (h *Hub) getScratch() *session.RunScratch {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if n := len(h.scratch); n > 0 {
-		s := h.scratch[n-1]
-		h.scratch[n-1] = nil
-		h.scratch = h.scratch[:n-1]
-		return s
-	}
-	return session.NewRunScratch()
-}
-
-// putScratch returns an arena to the freelist. Beyond the worker bound
-// the arena is dropped — a burst of served sessions must not pin its
-// peak footprint forever.
-func (h *Hub) putScratch(s *session.RunScratch) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.scratch) < h.cfg.Workers {
-		h.scratch = append(h.scratch, s)
-	}
-}
 
 // SessionSpec describes one batch-hosted session: an rds run plus a hub
 // display name. The hub owns the sharing fields — Scratch, Artifacts,
@@ -138,6 +119,24 @@ type SessionResult struct {
 // Run executes one batch session synchronously on the caller's
 // goroutine, sharing the hub's artifact cache and arena freelist.
 func (h *Hub) Run(spec SessionSpec) SessionResult {
+	scr := h.arenas.Get()
+	defer h.arenas.Put(scr)
+	return h.run(spec, scr)
+}
+
+// RunMany executes the specs through the shared cell executor
+// (session.Execute, the hub's Workers wide, each worker holding one of
+// the hub's run arenas) and returns results in spec order. A failed
+// session never stops the others: its error stays in its SessionResult.
+func (h *Hub) RunMany(specs []SessionSpec) []SessionResult {
+	results, _, _ := session.Execute(len(specs), h.cfg.Workers, h.arenas, func(scr *session.RunScratch, _, i int) (SessionResult, error) {
+		return h.run(specs[i], scr), nil
+	})
+	return results
+}
+
+// run executes one batch session over the run arena scr.
+func (h *Hub) run(spec SessionSpec, scr *session.RunScratch) SessionResult {
 	res := SessionResult{ID: h.nextID.Add(1), Name: spec.Name}
 	if res.Name == "" && spec.Scenario != nil {
 		res.Name = spec.Scenario.Name
@@ -153,8 +152,6 @@ func (h *Hub) Run(spec SessionSpec) SessionResult {
 	}
 	res.Artifact = art
 
-	scr := h.getScratch()
-	defer h.putScratch(scr)
 	cfg := spec.BenchConfig
 	cfg.Scratch = scr
 	cfg.Artifacts = h.arts
@@ -178,26 +175,7 @@ func (h *Hub) Run(spec SessionSpec) SessionResult {
 		return res
 	}
 	res.Outcome = out
-	// Digest before the deferred putScratch: the log dies with the arena.
+	// Digest now: the log dies when the arena runs its next session.
 	res.Digest = rds.OutcomeDigest(out)
 	return res
-}
-
-// RunMany executes the specs through a bounded worker pool (the hub's
-// Workers setting) and returns results in spec order.
-func (h *Hub) RunMany(specs []SessionSpec) []SessionResult {
-	results := make([]SessionResult, len(specs))
-	sem := make(chan struct{}, h.cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = h.Run(specs[i])
-		}(i)
-	}
-	wg.Wait()
-	return results
 }

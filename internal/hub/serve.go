@@ -243,9 +243,9 @@ func (h *Hub) newLiveSession(hc *hubConn, req JoinRequest) (*liveSession, error)
 	if err != nil {
 		return nil, err
 	}
-	scr := h.getScratch()
+	scr := h.arenas.Get()
 	fail := func(err error) (*liveSession, error) {
-		h.putScratch(scr)
+		h.arenas.Put(scr)
 		return nil, err
 	}
 	scr.Reset()
@@ -343,7 +343,7 @@ func (ls *liveSession) kill(reason string) {
 // release returns the session's arena without having run (join-reply
 // write failure). Sessions that ran release through finish.
 func (ls *liveSession) release() {
-	ls.h.putScratch(ls.scratch)
+	ls.h.arenas.Put(ls.scratch)
 	close(ls.done)
 }
 
@@ -415,7 +415,7 @@ func (ls *liveSession) finish() {
 	_ = ls.conn.writeJSON(ls.id, kindEnd, end)
 	ls.conn.remove(ls.id)
 	h := ls.h
-	h.putScratch(ls.scratch)
+	h.arenas.Put(ls.scratch)
 	h.active.Add(-1)
 	if h.ins != nil {
 		h.ins.SessionsActive.Dec()

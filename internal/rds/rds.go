@@ -22,7 +22,6 @@ import (
 	"teledrive/internal/telemetry/obs"
 	"teledrive/internal/trace"
 	"teledrive/internal/transport"
-	"teledrive/internal/world"
 )
 
 // StationSpec is the driving-station configuration — the paper's
@@ -133,12 +132,12 @@ type BenchConfig struct {
 	// (phases, faults, condition spans, collisions) as JSONL. Ignored
 	// unless Metrics is set.
 	Events *telemetry.EventSink
-	// Scratch, when non-nil, is the caller's reusable run arena
-	// (one per campaign worker): the world builds into its world.Arena,
-	// telemetry records into its recycled RunLog, and its transport
-	// pools feed the stack. Run resets it first, so the returned
-	// Outcome.Log stays valid only until the next Run with the same
-	// scratch. Never share one Scratch between concurrent runs.
+	// Scratch is the run arena (one per executor worker): the world
+	// builds into its world.Arena, telemetry records into its recycled
+	// RunLog, and its transport pools feed the stack. Run resets it
+	// first, so the returned Outcome.Log stays valid only until the next
+	// Run with the same scratch. Nil gives the run a private arena.
+	// Never share one Scratch between concurrent runs.
 	Scratch *session.RunScratch
 	// Artifacts, when non-nil, shares the scenario's immutable artifact
 	// (road map, blended route) with every other run that agrees on it —
@@ -240,46 +239,32 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	if cfg.Transport != nil {
 		topts = *cfg.Transport
 	}
+	scratch := cfg.Scratch
+	if scratch == nil {
+		scratch = session.NewRunScratch()
+	}
+	scratch.Reset()
 	if topts.Pools == nil {
 		// Pooling is always on for the composed stack — the bridge
-		// handlers honor the no-retention delivery contract. With a
-		// scratch the pools outlive the run; otherwise they just recycle
-		// within it (still the bulk of the win: the packet path is the
-		// allocation hot spot, not setup).
-		if cfg.Scratch != nil {
-			topts.Pools = cfg.Scratch.Pools
-		} else {
-			topts.Pools = transport.NewPools()
-		}
+		// handlers honor the no-retention delivery contract.
+		topts.Pools = scratch.Pools
 	}
 	build := cfg.NewStack
 	if build == nil {
 		build = session.NewStack
 	}
 
-	if cfg.Scratch != nil {
-		cfg.Scratch.Reset()
-	}
-	var built *scenario.Built
+	var art *scenario.Artifact
 	var err error
-	if cfg.Artifacts != nil || cfg.Scratch != nil {
-		var art *scenario.Artifact
-		if cfg.Artifacts != nil {
-			art, err = cfg.Artifacts.Get(cfg.Scenario)
-		} else {
-			art, err = cfg.Scenario.BuildArtifact()
-		}
-		if err != nil {
-			return nil, err
-		}
-		var arena *world.Arena
-		if cfg.Scratch != nil {
-			arena = cfg.Scratch.World
-		}
-		built, err = cfg.Scenario.BuildWith(art, arena)
+	if cfg.Artifacts != nil {
+		art, err = cfg.Artifacts.Get(cfg.Scenario)
 	} else {
-		built, err = cfg.Scenario.Build()
+		art, err = cfg.Scenario.BuildArtifact()
 	}
+	if err != nil {
+		return nil, err
+	}
+	built, err := cfg.Scenario.BuildWith(art, scratch.World)
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +278,8 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	if cfg.IsGolden() && cfg.PersistentRule == nil {
 		runType = "golden"
 	}
-	log := &trace.RunLog{}
-	if cfg.Scratch != nil {
-		// Recycled log: Reset above cleared it, capacity intact.
-		log = &cfg.Scratch.Log
-	}
+	// Recycled log: Reset above cleared it, capacity intact.
+	log := &scratch.Log
 	log.Subject = cfg.Profile.Name
 	log.Scenario = cfg.Scenario.Name
 	log.RunType = runType

@@ -1,11 +1,9 @@
 package search
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+
+	journalfile "teledrive/internal/journal"
 )
 
 // journalMagic identifies an adversarial-search journal file.
@@ -44,107 +42,48 @@ type Entry struct {
 // GenSlot keys a journal entry by its trajectory position.
 type GenSlot struct{ Gen, Slot int }
 
-// Journal is the search's crash-recovery log: an append-only JSONL file
-// with one flushed line per evaluated cell, written strictly in
-// (gen, slot) order. Because the search trajectory is deterministic, a
-// journal resumed mid-run and driven to completion is byte-identical to
-// one written in a single run — the same-seed identity check in CI
-// compares the files directly. All access is from the driver loop.
+// Journal is the search's crash-recovery log (internal/journal): an
+// append-only JSONL file with one flushed line per evaluated cell,
+// written strictly in (gen, slot) order. Because the search trajectory
+// is deterministic, a journal resumed mid-run and driven to completion
+// is byte-identical to one written in a single run — the same-seed
+// identity check in CI compares the files directly. All access is from
+// the driver loop.
 type Journal struct {
-	f       *os.File
-	w       *bufio.Writer
+	file    *journalfile.Journal
 	entries map[GenSlot]Entry
 }
 
 // OpenJournal opens (or creates) the journal at path and replays it.
 // digest identifies the current search configuration; a journal written
-// for a different configuration is an error, not a silent restart. An
-// empty path returns an in-memory journal (no crash recovery).
+// for a different configuration, or one holding a (gen, slot) twice, is
+// an error, not a silent restart. An empty path returns an in-memory
+// journal (no crash recovery).
 func OpenJournal(path, digest string) (*Journal, error) {
 	j := &Journal{entries: make(map[GenSlot]Entry)}
-	if path == "" {
-		return j, nil
-	}
-
-	existing, err := os.ReadFile(path)
-	keep := 0
-	switch {
-	case os.IsNotExist(err):
-		existing = nil
-	case err != nil:
-		return nil, fmt.Errorf("search: journal: %w", err)
-	default:
-		keep, err = j.replay(existing, digest)
-		if err != nil {
-			return nil, err
+	accept := func(hdr journalHeader) error {
+		if hdr.Journal != journalMagic {
+			return fmt.Errorf("journal: not a search journal (bad header)")
 		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	// Truncate any torn tail (a line the previous run died inside) so
-	// appends continue from the last complete line and the finished file
-	// is byte-identical to an uninterrupted run's.
-	if err := f.Truncate(int64(keep)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	if _, err := f.Seek(int64(keep), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("search: journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	if keep == 0 {
-		hdr, err := json.Marshal(journalHeader{Journal: journalMagic, V: 1, Digest: digest})
-		if err != nil {
-			return nil, err
+		if hdr.Digest != digest {
+			return fmt.Errorf("journal was written for a different search (journal digest %.12s…, search digest %.12s…) — refusing to resume", hdr.Digest, digest)
 		}
-		if _, err := j.w.Write(append(hdr, '\n')); err != nil {
-			return nil, err
-		}
-		if err := j.w.Flush(); err != nil {
-			return nil, err
-		}
+		return nil
 	}
-	return j, nil
-}
-
-// replay loads a pre-existing journal and returns the byte length of
-// its complete-line prefix. The final line may be torn (no trailing
-// newline) — the previous run died mid-append — and is dropped; any
-// earlier malformed line means real corruption and fails loudly.
-func (j *Journal) replay(data []byte, digest string) (int, error) {
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', so the last split element is
-	// empty; anything else is a torn tail.
-	complete := lines[:len(lines)-1]
-	if len(complete) == 0 {
-		return 0, nil // died while writing the header: treat as fresh
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(complete[0], &hdr); err != nil || hdr.Journal != journalMagic {
-		return 0, fmt.Errorf("search: journal: not a search journal (bad header)")
-	}
-	if hdr.Digest != digest {
-		return 0, fmt.Errorf("search: journal was written for a different search (journal digest %.12s…, search digest %.12s…) — refusing to resume", hdr.Digest, digest)
-	}
-	keep := len(complete[0]) + 1
-	for i, line := range complete[1:] {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return 0, fmt.Errorf("search: journal line %d corrupt: %w", i+2, err)
-		}
+	replay := func(line int, e Entry) error {
 		key := GenSlot{e.Gen, e.Slot}
 		if _, dup := j.entries[key]; dup {
-			return 0, fmt.Errorf("search: journal line %d: duplicate cell gen %d slot %d", i+2, e.Gen, e.Slot)
+			return fmt.Errorf("journal line %d: duplicate cell gen %d slot %d", line, e.Gen, e.Slot)
 		}
 		j.entries[key] = e
-		keep += len(line) + 1
+		return nil
 	}
-	return keep, nil
+	f, err := journalfile.Open(path, journalHeader{Journal: journalMagic, V: 1, Digest: digest}, accept, replay)
+	if err != nil {
+		return nil, fmt.Errorf("search: %w", err)
+	}
+	j.file = f
+	return j, nil
 }
 
 // Cached returns the journaled entry for a trajectory position, if any.
@@ -166,30 +105,11 @@ func (j *Journal) Append(e Entry) error {
 		return nil
 	}
 	j.entries[key] = e
-	if j.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("search: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("search: journal flush: %w", err)
+	if err := j.file.Append(e); err != nil {
+		return fmt.Errorf("search: %w", err)
 	}
 	return nil
 }
 
 // Close flushes and closes the backing file, if any.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return j.file.Close() }

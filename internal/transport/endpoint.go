@@ -78,13 +78,11 @@ type Options struct {
 	// calibrated experiments run with a fixed window; enable this to
 	// study throughput collapse under loss (BenchmarkAblationCongestion).
 	Congestion bool
-	// Pools, when non-nil, makes the endpoint recycle fragment buffers,
-	// segment records, and reassembly state instead of allocating per
-	// packet. It tightens the delivery contract: a Handler must not
-	// retain the payload slice past the callback (copy what it keeps —
-	// every handler in this repo already does). Connect also attaches
-	// Pools.Net to both netem links. Nil keeps the legacy
-	// allocate-per-packet behavior and the laxer contract.
+	// Pools recycles fragment buffers, segment records, reassembly state
+	// and (through Connect) the netem links' payload clones; nil gets a
+	// fresh set. Because delivered payloads are recycled, a Handler must
+	// not retain the payload slice past the callback — copy what it
+	// keeps.
 	Pools *Pools
 }
 
@@ -138,13 +136,14 @@ type Endpoint struct {
 	// Reassembly of fragmented messages, keyed by msgID.
 	partials map[uint32]*partialMsg
 
-	// Recycling state (nil/empty without Options.Pools, except the wire
-	// and fragment scratch, which are safe unconditionally: netem clones
-	// every Send and the fragment slice is consumed within Send).
+	// Recycling state. The wire and fragment scratch are reused across
+	// Sends (netem clones every Send and the fragment slice is consumed
+	// within Send); asmBuf is the reassembly buffer every delivery
+	// shares, which the delivery contract (Options.Pools) permits.
 	pools       *Pools
 	wireBuf     []byte   // EncodeFrameAppend scratch for transmit/sendAck
 	fragScratch [][]byte // fragmentize output slice, reused across Sends
-	asmBuf      []byte   // reassembly scratch (pools mode only)
+	asmBuf      []byte   // reassembly scratch
 }
 
 type partialMsg struct {
@@ -172,6 +171,9 @@ func NewEndpoint(clock *simclock.Clock, opts Options, handler Handler) *Endpoint
 		panic("transport: NewEndpoint requires a clock and a handler")
 	}
 	opts.fillDefaults()
+	if opts.Pools == nil {
+		opts.Pools = NewPools()
+	}
 	e := &Endpoint{
 		opts:         opts,
 		clock:        clock,
@@ -228,12 +230,7 @@ func (e *Endpoint) fragmentize(msgID uint32, payload []byte) [][]byte {
 			hi = len(payload)
 		}
 		chunk := payload[lo:hi]
-		var buf []byte
-		if e.pools != nil {
-			buf = e.pools.buf(fragHeaderLen + len(chunk))
-		} else {
-			buf = make([]byte, fragHeaderLen+len(chunk))
-		}
+		buf := e.pools.buf(fragHeaderLen + len(chunk))
 		if i == n-1 {
 			buf[0] = fragFlagLast
 		} else {
@@ -254,10 +251,10 @@ func (e *Endpoint) fragmentize(msgID uint32, payload []byte) [][]byte {
 	return out
 }
 
-// cloneFrag copies a fragment-sized buffer into pooled storage when a
-// pool is attached, else into a fresh allocation.
+// cloneFrag copies a fragment-sized buffer into pooled storage, or an
+// oversized one into a fresh allocation.
 func (e *Endpoint) cloneFrag(b []byte) []byte {
-	if e.pools != nil && len(b) <= fragBufCap {
+	if len(b) <= fragBufCap {
 		out := e.pools.buf(len(b))
 		copy(out, b)
 		return out
@@ -265,13 +262,9 @@ func (e *Endpoint) cloneFrag(b []byte) []byte {
 	return cloneBytes(b)
 }
 
-// recycleBuf returns a buffer obtained from the pool; a no-op without
-// one (the garbage collector takes it).
-func (e *Endpoint) recycleBuf(b []byte) {
-	if e.pools != nil {
-		e.pools.putBuf(b)
-	}
-}
+// recycleBuf returns a buffer obtained from the pool (foreign buffers
+// go to the garbage collector).
+func (e *Endpoint) recycleBuf(b []byte) { e.pools.putBuf(b) }
 
 // parseFragment splits a fragment header off a wire payload.
 func parseFragment(buf []byte) (msgID uint32, idx, count int, chunk []byte, ok bool) {
@@ -350,13 +343,8 @@ func (e *Endpoint) Send(payload []byte) error {
 		return fmt.Errorf("%w (%s: %d in flight, %d new, window %d)", ErrWindowFull, e.opts.Name, len(e.unacked), len(frags), e.opts.Window)
 	}
 	for _, frag := range frags {
-		var seg *segment
-		if e.pools != nil {
-			seg = e.pools.seg()
-			seg.seq, seg.payload, seg.sentAt = e.nextSeq, frag, now
-		} else {
-			seg = &segment{seq: e.nextSeq, payload: frag, sentAt: now}
-		}
+		seg := e.pools.seg()
+		seg.seq, seg.payload, seg.sentAt = e.nextSeq, frag, now
 		e.nextSeq++
 		e.unacked = append(e.unacked, seg)
 		e.stats.FragmentsSent++
@@ -371,9 +359,6 @@ func (e *Endpoint) Send(payload []byte) error {
 
 // recycleFrags returns a window-rejected message's fragments to the pool.
 func (e *Endpoint) recycleFrags(frags [][]byte) {
-	if e.pools == nil {
-		return
-	}
 	for _, frag := range frags {
 		e.pools.putBuf(frag)
 	}
@@ -459,21 +444,15 @@ func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
 	}
 	p := e.partials[msgID]
 	if p == nil {
-		if e.pools != nil {
-			p = e.pools.partial(count)
-			p.firstTS = ts
-		} else {
-			p = &partialMsg{chunks: make([][]byte, count), firstTS: ts}
-		}
+		p = e.pools.partial(count)
+		p.firstTS = ts
 		e.partials[msgID] = p
 	}
 	if len(p.chunks) != count {
 		// Inconsistent duplicate with a different count: drop the whole
 		// message rather than deliver garbage.
 		delete(e.partials, msgID)
-		if e.pools != nil {
-			e.pools.putPartial(p)
-		}
+		e.pools.putPartial(p)
 		e.stats.CorruptDropped++
 		return
 	}
@@ -491,29 +470,20 @@ func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
 	for _, c := range p.chunks {
 		total += len(c)
 	}
-	var full []byte
-	if e.pools != nil {
-		// Reused assembly scratch: the delivery contract under pooling
-		// says the handler must not retain the payload, so one buffer
-		// serves every delivery on this endpoint.
-		if cap(e.asmBuf) < total {
-			e.asmBuf = make([]byte, 0, total)
-		}
-		full = e.asmBuf[:0]
-	} else {
-		full = make([]byte, 0, total)
+	// Reused assembly scratch: the delivery contract says the handler
+	// must not retain the payload, so one buffer serves every delivery
+	// on this endpoint.
+	if cap(e.asmBuf) < total {
+		e.asmBuf = make([]byte, 0, total)
 	}
+	full := e.asmBuf[:0]
 	for _, c := range p.chunks {
 		full = append(full, c...)
 	}
-	if e.pools != nil {
-		e.asmBuf = full
-	}
+	e.asmBuf = full
 	delete(e.partials, msgID)
 	firstTS := p.firstTS
-	if e.pools != nil {
-		e.pools.putPartial(p) // also recycles the chunk buffers
-	}
+	e.pools.putPartial(p) // also recycles the chunk buffers
 
 	if !e.opts.Reliable {
 		if msgID <= uint32(e.lastDatagram) && e.lastDatagram != 0 {
@@ -527,9 +497,7 @@ func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {
 		for id, pm := range e.partials {
 			if id+32 < msgID {
 				delete(e.partials, id)
-				if e.pools != nil {
-					e.pools.putPartial(pm)
-				}
+				e.pools.putPartial(pm)
 			}
 		}
 	}
@@ -576,11 +544,9 @@ func (e *Endpoint) handleAck(f Frame) {
 	}
 	if m > 0 {
 		newlyAcked := m
-		if e.pools != nil {
-			for _, seg := range e.unacked[:m] {
-				e.pools.putBuf(seg.payload)
-				e.pools.putSeg(seg)
-			}
+		for _, seg := range e.unacked[:m] {
+			e.pools.putBuf(seg.payload)
+			e.pools.putSeg(seg)
 		}
 		n := copy(e.unacked, e.unacked[m:])
 		clear(e.unacked[n:])
@@ -722,6 +688,9 @@ type Conn struct {
 // channel between two handlers. aHandler receives messages sent by B and
 // vice versa.
 func Connect(clock *simclock.Clock, seed int64, opts Options, aHandler, bHandler Handler) *Conn {
+	if opts.Pools == nil {
+		opts.Pools = NewPools()
+	}
 	optsA, optsB := opts, opts
 	if optsA.Name == "" {
 		optsA.Name, optsB.Name = "A", "B"
@@ -732,13 +701,11 @@ func Connect(clock *simclock.Clock, seed int64, opts Options, aHandler, bHandler
 	a := NewEndpoint(clock, optsA, aHandler)
 	b := NewEndpoint(clock, optsB, bHandler)
 	links := netem.NewDuplex(clock, seed, b.HandlePacket, a.HandlePacket)
-	if opts.Pools != nil {
-		// One payload pool serves both directions: the simulation loop is
-		// single-threaded, and an endpoint's received buffers recycle into
-		// its own next sends.
-		links.Down.SetBufferPool(opts.Pools.Net)
-		links.Up.SetBufferPool(opts.Pools.Net)
-	}
+	// One pool set serves both endpoints and both directions: the
+	// simulation loop is single-threaded, and an endpoint's received
+	// buffers recycle into its own next sends.
+	links.Down.SetBufferPool(opts.Pools.Net)
+	links.Up.SetBufferPool(opts.Pools.Net)
 	a.AttachLink(links.Down)
 	b.AttachLink(links.Up)
 	return &Conn{A: a, B: b, Links: links}

@@ -37,7 +37,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // the (msgID, idx, count) triple survives a re-fragmentation round trip
 // for accepted single-fragment payloads.
 func FuzzParseFragment(f *testing.F) {
-	frags := (&Endpoint{}).fragmentize(42, []byte("hello fragment"))
+	frags := (&Endpoint{pools: NewPools()}).fragmentize(42, []byte("hello fragment"))
 	f.Add(frags[0])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1}, fragHeaderLen))

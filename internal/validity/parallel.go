@@ -1,19 +1,19 @@
 // Parallel sweep execution. The §VIII sweeps follow the same
 // plan/execute split as the campaign runner: each sweep enumerates its
 // measurement points up front (every point carries an explicit seed),
-// runs them on a bounded worker pool, and applies classification and
+// runs them on the shared cell executor, and applies classification and
 // the monotone-grade pass sequentially afterwards — so sweep results
 // are bit-identical for any worker count.
 package validity
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"teledrive/internal/netem"
+	"teledrive/internal/scenario"
+	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
 )
 
@@ -36,16 +36,14 @@ type pointJob struct {
 	seed int64
 }
 
-// runPoints executes the planned jobs on a bounded pool and returns
-// the points in job order. The first failure (in job order) cancels
-// outstanding work and is returned.
+// runPoints executes the planned jobs through the shared cell executor
+// (session.Execute) and returns the points in job order. Each worker
+// owns one run arena and the sweep shares one artifact cache. The first
+// failure (in job order) stops new points from starting and is
+// returned.
 func runPoints(env Env, jobs []pointJob, workers int) ([]Point, error) {
-	pts := make([]Point, len(jobs))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
 	}
 
 	// Sweep progress instruments (pre-bound; nil handles when the env is
@@ -57,55 +55,16 @@ func runPoints(env Env, jobs []pointJob, workers int) ([]Point, error) {
 		planned.Add(uint64(len(jobs)))
 	}
 
-	if workers <= 1 {
-		for i, j := range jobs {
-			p, err := RunPoint(env, j.rule, j.label, j.seed)
-			if err != nil {
-				return nil, fmt.Errorf("validity: %s %s: %w", env.Name, j.desc, err)
-			}
-			pts[i] = p
-			if done != nil {
-				done.Inc()
-			}
+	arts := scenario.NewArtifactCache()
+	pts, failed, err := session.Execute(len(jobs), workers, session.NewArenas(workers), func(scr *session.RunScratch, _, i int) (Point, error) {
+		p, err := runPoint(env, jobs[i].rule, jobs[i].label, jobs[i].seed, scr, arts)
+		if err == nil && done != nil {
+			done.Inc()
 		}
-		return pts, nil
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	queue := make(chan int)
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				if ctx.Err() != nil {
-					continue
-				}
-				p, err := RunPoint(env, jobs[i].rule, jobs[i].label, jobs[i].seed)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				pts[i] = p
-				if done != nil {
-					done.Inc()
-				}
-			}
-		}()
-	}
-	for i := range jobs {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("validity: %s %s: %w", env.Name, jobs[i].desc, err)
-		}
+		return p, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("validity: %s %s: %w", env.Name, jobs[failed].desc, err)
 	}
 	return pts, nil
 }

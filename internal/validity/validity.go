@@ -137,6 +137,13 @@ type Point struct {
 
 // RunPoint executes one sweep point.
 func RunPoint(env Env, rule netem.Rule, label string, seed int64) (Point, error) {
+	return runPoint(env, rule, label, seed, nil, nil)
+}
+
+// runPoint is RunPoint over a worker's run arena and the sweep's
+// artifact cache (either may be nil: rds.Run then uses a private arena
+// and builds the scenario cold).
+func runPoint(env Env, rule netem.Rule, label string, seed int64, scr *session.RunScratch, arts *scenario.ArtifactCache) (Point, error) {
 	scn := env.NewScenario()
 	laneWidth := scn.LaneWidth
 	topts := env.Transport
@@ -161,6 +168,8 @@ func RunPoint(env Env, rule netem.Rule, label string, seed int64) (Point, error)
 		PersistentRule:  ruleP,
 		PersistentLabel: label,
 		Metrics:         env.Metrics,
+		Scratch:         scr,
+		Artifacts:       arts,
 	})
 	if err != nil {
 		return Point{}, err

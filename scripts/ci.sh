@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the one-command verification gate for a PR branch:
 # build + vet + lint + race + race-hub + race-search + fingerprint +
-# fingerprint-pooled, in order, stopping at the first failure. Slower batteries are separate opt-ins: `make fuzz`
+# fingerprint-pooled + fingerprint-hub, in order, stopping at the first
+# failure. Slower batteries are separate opt-ins: `make fuzz`
 # (hostile-input budget), `make race-dist` (full distributed campaign
 # battery over localhost TCP), `make bench` (paper tables).
 #
@@ -30,5 +31,7 @@ stage make fingerprint
 make fingerprint
 stage make fingerprint-pooled
 make fingerprint-pooled
+stage make fingerprint-hub
+make fingerprint-hub
 
 stage "ci: all gates passed"
