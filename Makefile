@@ -42,10 +42,13 @@ race:
 
 # Multi-tenant hub chaos battery under the race detector: served
 # sessions over real localhost TCP with mid-frame connection kills,
-# lossy-datagram delta resyncs, and concurrent join/leave churn. Runs
-# in CI (scripts/ci.sh) after the package race stage.
+# lossy-datagram delta resyncs, and concurrent join/leave churn — then
+# cmd/teleop's local demo, a station driving an in-process served hub
+# over a delayed, lossy netem link. Runs in CI (scripts/ci.sh) after
+# the package race stage.
 race-hub:
 	$(GO) test -race -run 'TestHubServe|TestHubChaos|TestHubChurn|TestHubHostileBytes' -count=1 ./internal/hub
+	$(GO) test -race -count=1 ./cmd/teleop
 
 # Distributed-campaign battery under the race detector: the campaignd
 # coordinator/worker protocol, the chaos suite (worker kill, coordinator

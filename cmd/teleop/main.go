@@ -1,49 +1,38 @@
-// Command teleop is a real-time remote-driving demo: the vehicle
-// subsystem and the operator station run as separate event loops in one
-// process and talk over a REAL TCP connection on localhost — the same
-// topology as the paper's setup (CARLA server and client on one host,
-// fault injection on the loopback path).
+// Command teleop is the operator station of a real-time remote-driving
+// demo: it joins a session on a teleoperation hub over a REAL TCP
+// connection and steers it with the driver model. The hub hosts the
+// world and streams (optionally delta-coded) world views down the
+// connection; -delay and -drop become the session's netem rule on both
+// directions of its emulated link.
 //
-// Because the kernel's TCP stack is in the path, faults are injected at
-// the application egress (message delay via timers, message drop by
-// rate): a live approximation of NETEM for demonstration purposes; the
-// deterministic experiments use the in-process emulator instead.
+// Without -connect, teleop hosts that hub itself on -addr, so the
+// vehicle subsystem and the operator station run in one process over
+// real localhost TCP — the topology of the paper's setup (CARLA server
+// and client on one host, NETEM faults on the path between them).
+// -telemetry-addr then serves the local hub's metrics.
 //
 // Usage:
 //
 //	teleop [-duration 30s] [-subject T5] [-delay 50ms] [-drop 0.05] [-addr 127.0.0.1:0]
+//	       [-scenario follow-vehicle] [-session lab-7] [-seed 42] [-delta]
 //	       [-telemetry-addr localhost:9090]
 //
-// With -connect the station half dials a teleopd hub instead of
-// spawning a local vehicle: the hub hosts the world and streams
-// (optionally delta-coded) world views down one multiplexed TCP
-// connection, and the same driver model steers over it.
+// With -connect the station dials a running teleopd hub instead:
 //
 //	teleop -connect 127.0.0.1:7340 [-scenario follow-vehicle] [-session lab-7]
 //	       [-seed 42] [-delta] [-duration 30s] [-subject T5] [-delay 50ms] [-drop 0.05]
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"teledrive/internal/driver"
-	"teledrive/internal/geom"
-	"teledrive/internal/netem"
-	"teledrive/internal/scenario"
-	"teledrive/internal/sensors"
-	"teledrive/internal/session"
-	"teledrive/internal/simclock"
+	"teledrive/internal/hub"
 	"teledrive/internal/telemetry"
-	"teledrive/internal/vehicle"
-	"teledrive/internal/world"
 )
 
 func main() {
@@ -58,15 +47,15 @@ func run(args []string) error {
 	var (
 		duration  = fs.Duration("duration", 30*time.Second, "how long to drive")
 		subject   = fs.String("subject", "T5", "driver profile at the station")
-		delay     = fs.Duration("delay", 0, "one-way injected message delay")
-		drop      = fs.Float64("drop", 0, "message drop probability [0,1)")
-		addr      = fs.String("addr", "127.0.0.1:0", "TCP listen address")
-		telemAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
-		connect   = fs.String("connect", "", "dial a teleopd hub at this address instead of hosting a local vehicle")
-		scnName   = fs.String("scenario", "follow-vehicle", "hub scenario to join (-connect mode)")
-		sessName  = fs.String("session", "", "session label in hub telemetry (-connect mode; empty = scenario name)")
-		seed      = fs.Int64("seed", 42, "session network seed (-connect mode)")
-		delta     = fs.Bool("delta", false, "request keyframe+diff world-view streaming (-connect mode)")
+		delay     = fs.Duration("delay", 0, "one-way netem delay on the session link")
+		drop      = fs.Float64("drop", 0, "netem loss probability on the session link [0,1)")
+		addr      = fs.String("addr", "127.0.0.1:0", "TCP listen address of the local hub")
+		telemAddr = fs.String("telemetry-addr", "", "serve the local hub's /metrics, /healthz and /debug/pprof on this address (e.g. localhost:9090); empty = off")
+		connect   = fs.String("connect", "", "dial a teleopd hub at this address instead of hosting a local one")
+		scnName   = fs.String("scenario", "follow-vehicle", "hub scenario to join")
+		sessName  = fs.String("session", "", "session label in hub telemetry (empty = scenario name)")
+		seed      = fs.Int64("seed", 42, "session network seed")
+		delta     = fs.Bool("delta", false, "request keyframe+diff world-view streaming")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,328 +65,37 @@ func run(args []string) error {
 		return fmt.Errorf("unknown subject %q", *subject)
 	}
 
-	if *connect != "" {
-		return connectHub(hubSessionParams{
-			addr: *connect, scenario: *scnName, session: *sessName,
-			seed: *seed, delta: *delta, duration: *duration,
-			delay: *delay, drop: *drop, profile: prof,
-		})
-	}
-
-	// Live-demo telemetry: the egress shims count messages per role.
-	var vehEgress, staEgress shimInstruments
-	if *telemAddr != "" {
-		reg := telemetry.NewRegistry()
-		ops, err := telemetry.Serve(*telemAddr, reg)
+	hubAddr := *connect
+	if hubAddr == "" {
+		cfg := hub.Config{}
+		if *telemAddr != "" {
+			reg := telemetry.NewRegistry()
+			ops, err := telemetry.Serve(*telemAddr, reg)
+			if err != nil {
+				return err
+			}
+			defer ops.Close()
+			fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
+			cfg.Metrics = reg
+		}
+		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			return err
 		}
-		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s/metrics\n", ops.Addr())
-		msgs := reg.CounterVec("teledrive_teleop_messages_total",
-			"Messages at the TCP egress shim, by role and outcome.", "role", "event")
-		vehEgress = shimInstruments{sent: msgs.With("vehicle", "sent"), dropped: msgs.With("vehicle", "dropped")}
-		staEgress = shimInstruments{sent: msgs.With("station", "sent"), dropped: msgs.With("station", "dropped")}
+		h := hub.New(cfg)
+		served := make(chan error, 1)
+		go func() { served <- h.Serve(ln) }()
+		defer func() {
+			h.Close()
+			_ = ln.Close()
+			<-served
+		}()
+		hubAddr = ln.Addr().String()
+		fmt.Printf("local hub listening on %s (delay=%v drop=%.0f%%)\n", hubAddr, *delay, *drop*100)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Printf("vehicle subsystem listening on %s (delay=%v drop=%.0f%%)\n", ln.Addr(), *delay, *drop*100)
-
-	errCh := make(chan error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errCh <- serveVehicle(ln, *duration, *delay, *drop, vehEgress)
-	}()
-	go func() {
-		defer wg.Done()
-		errCh <- runStation(ln.Addr().String(), prof, *duration, *delay, *drop, staEgress)
-	}()
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Println("teleop session complete")
-	return nil
-}
-
-// message framing over TCP: type(1) length(4) payload.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, 5)
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readMsg(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > 1<<24 {
-		return 0, nil, fmt.Errorf("oversized message (%d bytes)", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
-const (
-	msgFrame   = 1
-	msgControl = 2
-)
-
-// shim injects delay/drop at the application egress. It is the
-// real-TCP implementation of session.Link: the kernel's TCP stack is
-// the network, so there is no emulated fault surface to inject into
-// (Faults returns nil) — impairments are applied at the egress
-// instead.
-type shim struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	delay time.Duration
-	drop  float64
-	rng   *rand.Rand
-	ins   shimInstruments
-}
-
-// shimInstruments are the demo's nil-safe egress counters; the zero
-// value (no -telemetry-addr) counts nothing.
-type shimInstruments struct {
-	sent    *telemetry.Counter
-	dropped *telemetry.Counter
-}
-
-var _ session.Link = (*shim)(nil)
-
-// Name implements session.Link.
-func (s *shim) Name() string { return "tcp+egress-shim" }
-
-// Faults implements session.Link: a real TCP link exposes no NETEM
-// surface, so POI fault injection is unavailable on this link.
-func (s *shim) Faults() *netem.Duplex { return nil }
-
-// send drops or delays the message at the egress, then writes it.
-//
-//lint:allow wallclock live demo: injected delay rides real timers because the peer runs in real time
-func (s *shim) send(typ byte, payload []byte) {
-	s.mu.Lock()
-	roll := s.rng.Float64()
-	s.mu.Unlock()
-	if roll < s.drop {
-		if s.ins.dropped != nil {
-			s.ins.dropped.Inc()
-		}
-		return
-	}
-	if s.ins.sent != nil {
-		s.ins.sent.Inc()
-	}
-	deliver := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_ = writeMsg(s.conn, typ, payload)
-	}
-	if s.delay > 0 {
-		time.AfterFunc(s.delay, deliver)
-		return
-	}
-	deliver()
-}
-
-// serveVehicle steps the world in real time and streams camera frames.
-//
-//lint:allow wallclock real-time demo: wall-clock tickers ARE the physics/frame cadence here, unlike the deterministic bench
-func serveVehicle(ln net.Listener, duration, delay time.Duration, drop float64, egress shimInstruments) error {
-	conn, err := ln.Accept()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	built, err := scenario.FollowVehicle().Build()
-	if err != nil {
-		return err
-	}
-	collisions := 0
-	built.World.OnCollision = func(world.CollisionEvent) { collisions++ }
-	cam := sensors.NewCamera(built.World, built.Ego)
-	cam.VideoFrameBytes = 0 // keep the live demo light
-	out := &shim{conn: conn, delay: delay, drop: drop, rng: rand.New(rand.NewSource(1)), ins: egress}
-
-	// Incoming controls.
-	var ctrlMu sync.Mutex
-	ctrl := vehicle.Control{}
-	go func() {
-		for {
-			typ, payload, err := readMsg(conn)
-			if err != nil {
-				return
-			}
-			if typ != msgControl || len(payload) != 25 {
-				continue
-			}
-			c := vehicle.Control{
-				Throttle: geom.Clamp(float64(int8(payload[0]))/100, 0, 1),
-				Steer:    geom.Clamp(float64(int8(payload[1]))/100, -1, 1),
-				Brake:    geom.Clamp(float64(int8(payload[2]))/100, 0, 1),
-			}
-			ctrlMu.Lock()
-			ctrl = c
-			ctrlMu.Unlock()
-		}
-	}()
-
-	physics := time.NewTicker(20 * time.Millisecond)
-	defer physics.Stop()
-	frames := time.NewTicker(36 * time.Millisecond)
-	defer frames.Stop()
-	deadline := time.After(duration)
-	for {
-		select {
-		case <-physics.C:
-			ctrlMu.Lock()
-			built.Ego.Plant.Apply(ctrl)
-			ctrlMu.Unlock()
-			built.World.Step(0.02)
-		case <-frames.C:
-			view := cam.Capture()
-			out.send(msgFrame, sensors.MarshalWorldView(view))
-		case <-deadline:
-			fmt.Printf("vehicle: final station %.0f m, %d collisions\n",
-				stationOf(built), collisions)
-			return nil
-		}
-	}
-}
-
-func stationOf(built *scenario.Built) float64 {
-	s, _ := built.Route.Project(built.Ego.Pose().Pos)
-	return s
-}
-
-// runStation runs the driver model in real time against the TCP feed.
-//
-//lint:allow wallclock real-time demo: the station's simclock is slaved to the wall clock (clk.AdvanceTo(time.Since(start)))
-func runStation(addr string, prof driver.Profile, duration, delay time.Duration, drop float64, egress shimInstruments) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	built, err := scenario.FollowVehicle().Build()
-	if err != nil {
-		return err
-	}
-	out := &shim{conn: conn, delay: delay, drop: drop, rng: rand.New(rand.NewSource(2)), ins: egress}
-
-	// Live perception: latest frame + its arrival wall-time.
-	type display struct {
-		view    sensors.WorldView
-		ok      bool
-		arrived time.Time
-	}
-	var mu sync.Mutex
-	disp := display{}
-	start := time.Now()
-	go func() {
-		for {
-			typ, payload, err := readMsg(conn)
-			if err != nil {
-				return
-			}
-			if typ != msgFrame {
-				continue
-			}
-			view, err := sensors.UnmarshalWorldView(payload)
-			if err != nil {
-				continue
-			}
-			mu.Lock()
-			if !disp.ok || view.Frame > disp.view.Frame {
-				disp = display{view: view, ok: true, arrived: time.Now()}
-			}
-			mu.Unlock()
-		}
-	}()
-
-	clk := simclock.New()
-	perc := perceptionFunc(func() (sensors.WorldView, bool, time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !disp.ok {
-			return sensors.WorldView{}, false, -1
-		}
-		// Frame age at the station ≈ time since this frame arrived; the
-		// injected one-way delay is already part of the arrival time.
-		return disp.view, true, time.Since(disp.arrived)
+	return connectHub(hubSessionParams{
+		addr: hubAddr, scenario: *scnName, session: *sessName,
+		seed: *seed, delta: *delta, duration: *duration,
+		delay: *delay, drop: *drop, profile: prof,
 	})
-	drv, err := driver.New(clk, perc, driver.DefaultConfig(prof, built.Task))
-	if err != nil {
-		return err
-	}
-	// The station polls the driver through the same Operator seam the
-	// deterministic bench uses — an interactive wheel/pedal reader would
-	// slot in here without touching the loop.
-	var op session.Operator = drv
-
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	status := time.NewTicker(5 * time.Second)
-	defer status.Stop()
-	deadline := time.After(duration)
-	for {
-		select {
-		case <-tick.C:
-			now := time.Since(start)
-			clk.AdvanceTo(now)
-			c := op.Tick(now)
-			payload := make([]byte, 25)
-			payload[0] = byte(int8(c.Throttle * 100))
-			payload[1] = byte(int8(c.Steer * 100))
-			payload[2] = byte(int8(c.Brake * 100))
-			out.send(msgControl, payload)
-		case <-status.C:
-			mu.Lock()
-			if disp.ok {
-				fmt.Printf("station: frame %d, ego speed %.1f m/s, degradation %.2f\n",
-					disp.view.Frame, disp.view.Ego.Speed, drv.Degradation())
-			}
-			mu.Unlock()
-		case <-deadline:
-			return nil
-		}
-	}
-}
-
-// perceptionFunc adapts a closure to driver.Perception.
-type perceptionFunc func() (sensors.WorldView, bool, time.Duration)
-
-func (f perceptionFunc) Frame() (sensors.WorldView, bool) {
-	v, ok, _ := f()
-	return v, ok
-}
-
-func (f perceptionFunc) FrameAge() time.Duration {
-	_, ok, age := f()
-	if !ok {
-		return -1
-	}
-	return age
 }

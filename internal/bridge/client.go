@@ -2,7 +2,6 @@ package bridge
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -44,25 +43,11 @@ type Client struct {
 	clock *simclock.Clock
 	ep    *transport.Endpoint
 
-	latest      sensors.WorldView
-	latestValid bool
-	latestLat   time.Duration // transport latency of the displayed frame
-	receivedAt  time.Duration // when the displayed frame arrived
-	metaSeq     uint64
-	stats       ClientStats
-	ins         *ClientInstruments // optional telemetry handles; nil = uninstrumented
-
-	// resyncStreak spaces out keyframe requests while the diff chain is
-	// broken; it resets whenever a frame is accepted.
-	resyncStreak int
-
-	// decodeView double-buffers the frame decode: each MsgFrame is
-	// decoded into it, and on acceptance it is swapped with latest, so
-	// the displaced view's actor backing becomes the next decode target.
-	// A view handed out (Frame, OnFrame) is therefore stable only until
-	// the next accepted frame — consumers that look further back copy
-	// what they keep (the driver's reaction buffer does).
-	decodeView sensors.WorldView
+	disp       Display
+	latestLat  time.Duration // transport latency of the displayed frame
+	receivedAt time.Duration // when the displayed frame arrived
+	metaSeq    uint64
+	stats      ClientStats
 	// ctrlBuf is the reused control envelope; the transport copies the
 	// payload into pooled fragments, so reuse across sends is safe.
 	ctrlBuf []byte
@@ -89,9 +74,10 @@ func (c *Client) Handler() transport.Handler {
 func (c *Client) Stats() ClientStats { return c.stats }
 
 // Frame returns the currently displayed world view. ok is false until
-// the first frame arrives.
+// the first frame arrives. The view is stable only until the next
+// frame displays (see Display).
 func (c *Client) Frame() (view sensors.WorldView, ok bool) {
-	return c.latest, c.latestValid
+	return c.disp.Frame()
 }
 
 // FrameAge returns how stale the displayed frame's content is: the time
@@ -99,7 +85,7 @@ func (c *Client) Frame() (view sensors.WorldView, ok bool) {
 // the station (transport latency + time since arrival). This is the
 // quantity network faults inflate and the driver model perceives.
 func (c *Client) FrameAge() time.Duration {
-	if !c.latestValid {
+	if _, ok := c.disp.Frame(); !ok {
 		return time.Duration(-1)
 	}
 	return c.latestLat + (c.clock.Now() - c.receivedAt)
@@ -114,14 +100,14 @@ func (c *Client) SendControl(ctrl vehicle.Control) error {
 	c.ctrlBuf = appendControlMsg(c.ctrlBuf[:0], ctrl)
 	if err := c.ep.Send(c.ctrlBuf); err != nil {
 		c.stats.ControlsDropped++
-		if c.ins != nil {
-			c.ins.ControlsDropped.Inc()
+		if ins := c.disp.ins; ins != nil {
+			ins.ControlsDropped.Inc()
 		}
 		return fmt.Errorf("bridge: send control: %w", err)
 	}
 	c.stats.ControlsSent++
-	if c.ins != nil {
-		c.ins.ControlsSent.Inc()
+	if ins := c.disp.ins; ins != nil {
+		ins.ControlsSent.Inc()
 	}
 	return nil
 }
@@ -148,40 +134,21 @@ func (c *Client) handleMessage(payload []byte, latency time.Duration) {
 		return
 	}
 	switch t {
-	case MsgFrame:
-		if err := sensors.UnmarshalWorldViewInto(&c.decodeView, body); err != nil {
-			c.stats.ProtocolErrors++
-			return
+	case MsgFrame, MsgDeltaFrame:
+		shown, resync := c.disp.Show(t, body, &c.stats)
+		if resync {
+			// Best-effort: a lost request is retried by the display's
+			// streak, and the server's keyframe cadence recovers the
+			// chain anyway.
+			_, _ = c.SendMeta("request_keyframe", nil)
 		}
-		c.stats.FramesReceived++
-		if c.ins != nil {
-			c.ins.FramesReceived.Inc()
-		}
-		c.acceptDecoded(latency)
-	case MsgDeltaFrame:
-		// A diff applies against the displayed view; a chain break —
-		// nothing displayed yet, or the base frame was lost on the way —
-		// asks the server to restart with a keyframe.
-		if !c.latestValid {
-			c.stats.DeltaResyncs++
-			c.requestKeyframe()
-			return
-		}
-		if err := sensors.ApplyWorldViewDelta(&c.decodeView, c.latest, body); err != nil {
-			if errors.Is(err, sensors.ErrDeltaBaseMismatch) {
-				c.stats.DeltaResyncs++
-				c.requestKeyframe()
-			} else {
-				c.stats.ProtocolErrors++
+		if shown {
+			c.latestLat = latency
+			c.receivedAt = c.clock.Now()
+			if c.OnFrame != nil {
+				c.OnFrame(c.disp.latest, latency)
 			}
-			return
 		}
-		c.stats.FramesReceived++
-		c.stats.DeltasApplied++
-		if c.ins != nil {
-			c.ins.FramesReceived.Inc()
-		}
-		c.acceptDecoded(latency)
 	case MsgCollision:
 		var ev CollisionWire
 		if json.Unmarshal(body, &ev) == nil {
@@ -211,41 +178,6 @@ func (c *Client) handleMessage(payload []byte, latency time.Duration) {
 		// here — or a kind this build does not know — is peer confusion
 		// to count, not traffic to ignore.
 		c.stats.ProtocolErrors++
-	}
-}
-
-// acceptDecoded promotes decodeView to the display if it is newer than
-// what is shown. Only monotonically newer frames display; an older
-// frame that arrives late (reordering, duplication) is discarded — its
-// decode target is simply reused by the next frame.
-func (c *Client) acceptDecoded(latency time.Duration) {
-	if c.latestValid && c.decodeView.Frame <= c.latest.Frame {
-		c.stats.FramesStale++
-		if c.ins != nil {
-			c.ins.FramesStale.Inc()
-		}
-		return
-	}
-	c.latest, c.decodeView = c.decodeView, c.latest
-	c.latestValid = true
-	c.latestLat = latency
-	c.receivedAt = c.clock.Now()
-	c.resyncStreak = 0
-	if c.OnFrame != nil {
-		c.OnFrame(c.latest, latency)
-	}
-}
-
-// requestKeyframe asks the server to restart the diff chain. Spaced
-// out: under sustained loss every broken diff would otherwise emit a
-// meta-command, and the requests ride the same lossy uplink — so the
-// first break asks immediately and persistence retries every eighth.
-func (c *Client) requestKeyframe() {
-	c.resyncStreak++
-	if c.resyncStreak == 1 || c.resyncStreak%8 == 0 {
-		// Best-effort: a lost request is retried by the streak above,
-		// and the server's keyframe cadence recovers the chain anyway.
-		_, _ = c.SendMeta("request_keyframe", nil)
 	}
 }
 

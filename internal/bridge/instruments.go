@@ -91,5 +91,6 @@ func NewClientInstruments(reg *telemetry.Registry) *ClientInstruments {
 }
 
 // SetInstruments attaches (or detaches, with nil) the client's
-// telemetry handles. Call at wiring time.
-func (c *Client) SetInstruments(ins *ClientInstruments) { c.ins = ins }
+// telemetry handles. Call at wiring time. The client's display holds
+// them: it counts the frames, the client the controls.
+func (c *Client) SetInstruments(ins *ClientInstruments) { c.disp.ins = ins }

@@ -89,7 +89,7 @@ func saturatingStack(clock *simclock.Clock, w *world.World, ego *world.Actor, se
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Link.Faults().Up.AddRule(netem.Rule{Delay: 2 * time.Second}); err != nil {
+	if err := st.Links.Up.AddRule(netem.Rule{Delay: 2 * time.Second}); err != nil {
 		return nil, err
 	}
 	return st, nil

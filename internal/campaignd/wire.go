@@ -19,7 +19,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,36 +138,12 @@ func (ww *wireWriter) writeMsg(m *msg) error {
 		body = body[n:]
 
 		ww.seq++
-		wire, err := transport.EncodeFrame(transport.Frame{
-			Type: transport.FrameData, Seq: ww.seq, Payload: payload,
-		})
-		if err != nil {
-			return err
-		}
-		var lenbuf [4]byte
-		binary.BigEndian.PutUint32(lenbuf[:], uint32(len(wire)))
-		if _, err := ww.w.Write(lenbuf[:]); err != nil {
-			return err
-		}
-		if _, err := ww.w.Write(wire); err != nil {
+		if err := transport.WriteStreamFrame(ww.w, ww.seq, payload); err != nil {
 			return err
 		}
 	}
 	return ww.w.Flush()
 }
-
-// maxWire is the largest legal encoded frame: flags byte + maxChunk of
-// body, plus the transport frame overhead (header + CRC trailer).
-// EncodeFrame of a (1+maxChunk)-byte payload produces exactly this.
-var maxWire = func() int {
-	wire, err := transport.EncodeFrame(transport.Frame{
-		Type: transport.FrameData, Payload: make([]byte, 1+maxChunk),
-	})
-	if err != nil {
-		panic(err)
-	}
-	return len(wire)
-}()
 
 // readMsg reassembles one logical message from r. It returns io.EOF on
 // a clean close at a message boundary, and ErrProtocol-wrapped errors
@@ -179,39 +154,23 @@ func readMsg(r *bufio.Reader) (*msg, error) {
 	var body []byte
 	deflated := false
 	for chunk := 0; ; chunk++ {
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
-			if chunk == 0 && err == io.EOF {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("%w: truncated frame length: %w", ErrProtocol, err)
+		_, payload, err := transport.ReadStreamFrame(r, 1+maxChunk)
+		switch {
+		case err == io.EOF && chunk == 0:
+			return nil, io.EOF
+		case err == io.EOF:
+			return nil, protocolErrf("stream ended inside a chunked message")
+		case err != nil:
+			return nil, fmt.Errorf("%w: %w", ErrProtocol, err)
 		}
-		wlen := binary.BigEndian.Uint32(lenbuf[:])
-		if int(wlen) > maxWire || wlen == 0 {
-			return nil, protocolErrf("frame length %d out of range", wlen)
-		}
-		wire := make([]byte, wlen)
-		if _, err := io.ReadFull(r, wire); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame: %w", ErrProtocol, err)
-		}
-		frame, err := transport.DecodeFrame(wire)
-		if err != nil {
-			return nil, protocolErrf("%v", err)
-		}
-		if frame.Type != transport.FrameData {
-			return nil, protocolErrf("unexpected frame type %v", frame.Type)
-		}
-		if len(frame.Payload) < 1 {
-			return nil, protocolErrf("empty frame payload")
-		}
-		flags := frame.Payload[0]
+		flags := payload[0]
 		if chunk == 0 {
 			deflated = flags&flagDeflate != 0
 		}
-		if len(body)+len(frame.Payload)-1 > maxMessage {
+		if len(body)+len(payload)-1 > maxMessage {
 			return nil, protocolErrf("message exceeds %d bytes", maxMessage)
 		}
-		body = append(body, frame.Payload[1:]...)
+		body = append(body, payload[1:]...)
 		if flags&flagMore == 0 {
 			break
 		}

@@ -2,7 +2,6 @@ package hub
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -216,19 +215,6 @@ func (st *Station) readLoop() {
 	_ = st.c.Close()
 }
 
-// StationStats counts one session's station-side activity.
-type StationStats struct {
-	FramesReceived uint64
-	FramesStale    uint64
-	DeltasApplied  uint64
-	DeltaResyncs   uint64
-	ControlsSent   uint64
-	Collisions     uint64
-	LaneInvasions  uint64
-	MetaReplies    uint64
-	ProtocolErrors uint64
-}
-
 // StationSession is one remotely driven session as seen from the
 // station: the latest reconstructed world view plus command senders.
 type StationSession struct {
@@ -236,22 +222,19 @@ type StationSession struct {
 	ID       uint64
 	Scenario string
 
-	mu           sync.Mutex
-	onFrame      func(view sensors.WorldView)
-	latest       sensors.WorldView
-	latestValid  bool
-	receivedAt   time.Time
-	decodeView   sensors.WorldView
-	stats        StationStats
-	resyncStreak int
-	metaSeq      uint64
-	end          *SessionEnd
-	endOnce      sync.Once
-	done         chan struct{}
+	mu         sync.Mutex
+	onFrame    func(view sensors.WorldView)
+	disp       bridge.Display
+	receivedAt time.Time // wall-clock arrival of the displayed frame
+	stats      bridge.ClientStats
+	metaSeq    uint64
+	end        *SessionEnd
+	endOnce    sync.Once
+	done       chan struct{}
 }
 
 // Stats snapshots the session counters.
-func (ss *StationSession) Stats() StationStats {
+func (ss *StationSession) Stats() bridge.ClientStats {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return ss.stats
@@ -262,11 +245,11 @@ func (ss *StationSession) Stats() StationStats {
 func (ss *StationSession) Frame() (view sensors.WorldView, ok bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if !ss.latestValid {
+	view, ok = ss.disp.Frame()
+	if !ok {
 		return sensors.WorldView{}, false
 	}
-	view = ss.latest
-	view.Others = slices.Clone(ss.latest.Others)
+	view.Others = slices.Clone(view.Others)
 	return view, true
 }
 
@@ -275,7 +258,7 @@ func (ss *StationSession) Frame() (view sensors.WorldView, ok bool) {
 func (ss *StationSession) FrameAge() time.Duration {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if !ss.latestValid {
+	if _, ok := ss.disp.Frame(); !ok {
 		return time.Duration(-1)
 	}
 	//lint:allow wallclock remote station: frame age is genuinely wall-clock time, there is no local simclock
@@ -347,66 +330,40 @@ func (ss *StationSession) handleBridge(payload []byte) {
 	}
 	t, body := bridge.MsgType(payload[0]), payload[1:]
 	ss.mu.Lock()
-	promoted := false
+	shown, resync := false, false
 	switch t {
-	case bridge.MsgFrame:
-		if err := sensors.UnmarshalWorldViewInto(&ss.decodeView, body); err != nil {
-			ss.stats.ProtocolErrors++
-			break
+	case bridge.MsgFrame, bridge.MsgDeltaFrame:
+		shown, resync = ss.disp.Show(t, body, &ss.stats)
+		if shown {
+			//lint:allow wallclock remote station: frame arrival is stamped in wall time, there is no local simclock
+			ss.receivedAt = time.Now()
 		}
-		ss.stats.FramesReceived++
-		promoted = ss.acceptDecodedLocked()
-	case bridge.MsgDeltaFrame:
-		if !ss.latestValid {
-			ss.stats.DeltaResyncs++
-			ss.requestKeyframeLocked()
-			break
-		}
-		if err := sensors.ApplyWorldViewDelta(&ss.decodeView, ss.latest, body); err != nil {
-			if errors.Is(err, sensors.ErrDeltaBaseMismatch) {
-				ss.stats.DeltaResyncs++
-				ss.requestKeyframeLocked()
-			} else {
-				ss.stats.ProtocolErrors++
-			}
-			break
-		}
-		ss.stats.FramesReceived++
-		ss.stats.DeltasApplied++
-		promoted = ss.acceptDecodedLocked()
 	case bridge.MsgCollision:
-		ss.stats.Collisions++
+		ss.stats.CollisionsSeen++
 	case bridge.MsgLaneInvasion:
-		ss.stats.LaneInvasions++
+		ss.stats.LaneInvasionsSeen++
 	case bridge.MsgMetaReply:
-		ss.stats.MetaReplies++
+		ss.stats.MetaRepliesSeen++
 	default:
 		ss.stats.ProtocolErrors++
 	}
 	fire := ss.onFrame
-	view := ss.latest
+	view, _ := ss.disp.Frame()
 	ss.mu.Unlock()
+	if resync {
+		// Off the read goroutine: the write may block behind the
+		// connection's writer.
+		go func() {
+			//lint:allow errswallow best-effort resync request: a dead connection ends the session via the read loop
+			_, _ = ss.SendMeta("request_keyframe", nil)
+		}()
+	}
 	// Fire outside the lock so the callback may call SendControl and
 	// friends. Only this goroutine mutates view state, so the unlocked
 	// view stays stable for the duration of the call.
-	if promoted && fire != nil {
+	if shown && fire != nil {
 		fire(view)
 	}
-}
-
-// acceptDecodedLocked promotes decodeView if newer, reporting whether a
-// new frame displayed. Caller holds mu.
-func (ss *StationSession) acceptDecodedLocked() bool {
-	if ss.latestValid && ss.decodeView.Frame <= ss.latest.Frame {
-		ss.stats.FramesStale++
-		return false
-	}
-	ss.latest, ss.decodeView = ss.decodeView, ss.latest
-	ss.latestValid = true
-	//lint:allow wallclock remote station: frame arrival is stamped in wall time, there is no local simclock
-	ss.receivedAt = time.Now()
-	ss.resyncStreak = 0
-	return true
 }
 
 // SetOnFrame installs a callback that runs on the connection's read
@@ -416,23 +373,4 @@ func (ss *StationSession) SetOnFrame(fn func(view sensors.WorldView)) {
 	ss.mu.Lock()
 	ss.onFrame = fn
 	ss.mu.Unlock()
-}
-
-// requestKeyframeLocked asks the plant to restart the diff chain,
-// spaced out like bridge.Client does. Caller holds mu; the write runs
-// outside it.
-func (ss *StationSession) requestKeyframeLocked() {
-	ss.resyncStreak++
-	if ss.resyncStreak == 1 || ss.resyncStreak%8 == 0 {
-		ss.metaSeq++
-		seq := ss.metaSeq
-		go func() {
-			body, err := json.Marshal(bridge.MetaCommand{Seq: seq, Cmd: "request_keyframe"})
-			if err != nil {
-				return
-			}
-			//lint:allow errswallow best-effort resync request: a dead connection ends the session via the read loop
-			_ = ss.st.write(ss.ID, kindBridge, append([]byte{byte(bridge.MsgMeta)}, body...))
-		}()
-	}
 }

@@ -1,17 +1,16 @@
 // Hub wire protocol: one TCP stream multiplexes every session a
-// station drives. Each message is a 4-byte big-endian length prefix
-// followed by one transport.EncodeFrame frame whose Seq field carries
-// the session id and whose payload is a kind byte plus the body —
-// bridge traffic is relayed verbatim under kindBridge, and a small set
-// of JSON control messages (join/joined/leave/end/error) manages the
-// session lifecycle. The framing reuses the transport codec for its
-// CRC; like campaignd's, the read side treats the stream as hostile
-// territory and must never panic (FuzzHubWire).
+// station drives. Each message is one transport stream frame
+// (transport.WriteStreamFrame: a 4-byte big-endian length, then a
+// CRC-checked EncodeFrame frame) whose Seq field carries the session id
+// and whose payload is a kind byte plus the body — bridge traffic is
+// relayed verbatim under kindBridge, and a small set of JSON control
+// messages (join/joined/leave/end/error) manages the session
+// lifecycle. Like campaignd's, the read side treats the stream as
+// hostile territory and must never panic (FuzzHubWire).
 package hub
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -60,9 +59,8 @@ type JoinRequest struct {
 	// DurationNS bounds the session's simulated lifetime (0 = the
 	// scenario timeout).
 	DurationNS int64 `json:"duration_ns,omitempty"`
-	// Reliable selects the TCP-like channel (default true via pointer
-	// absence is awkward in JSON, so the zero value means reliable and
-	// Datagram flips it).
+	// Datagram selects the unreliable datagram channel instead of the
+	// default TCP-like reliable one.
 	Datagram bool `json:"datagram,omitempty"`
 }
 
@@ -115,17 +113,6 @@ type wireMsg struct {
 // the kind tag.
 const maxBody = transport.MaxPayload - 1
 
-// maxHubWire is the largest legal encoded frame on the hub stream.
-var maxHubWire = func() int {
-	wire, err := transport.EncodeFrame(transport.Frame{
-		Type: transport.FrameData, Payload: make([]byte, 1+maxBody),
-	})
-	if err != nil {
-		panic(err)
-	}
-	return len(wire)
-}()
-
 // wireWriter frames messages onto a stream. Not safe for concurrent
 // use; callers serialize with their own mutex.
 type wireWriter struct {
@@ -144,18 +131,7 @@ func (ww *wireWriter) writeMsg(session uint64, kind byte, body []byte) error {
 	payload := make([]byte, 1+len(body))
 	payload[0] = kind
 	copy(payload[1:], body)
-	wire, err := transport.EncodeFrame(transport.Frame{
-		Type: transport.FrameData, Seq: session, Payload: payload,
-	})
-	if err != nil {
-		return err
-	}
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(wire)))
-	if _, err := ww.w.Write(lenbuf[:]); err != nil {
-		return err
-	}
-	if _, err := ww.w.Write(wire); err != nil {
+	if err := transport.WriteStreamFrame(ww.w, session, payload); err != nil {
 		return err
 	}
 	return ww.w.Flush()
@@ -165,32 +141,14 @@ func (ww *wireWriter) writeMsg(session uint64, kind byte, body []byte) error {
 // message boundary; every malformed input returns an ErrHubProtocol-
 // wrapped error.
 func readMsg(r *bufio.Reader) (wireMsg, error) {
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
+	session, payload, err := transport.ReadStreamFrame(r, 1+maxBody)
+	if err != nil {
 		if err == io.EOF {
 			return wireMsg{}, io.EOF
 		}
-		return wireMsg{}, fmt.Errorf("%w: truncated frame length: %w", ErrHubProtocol, err)
+		return wireMsg{}, fmt.Errorf("%w: %w", ErrHubProtocol, err)
 	}
-	wlen := binary.BigEndian.Uint32(lenbuf[:])
-	if wlen == 0 || int(wlen) > maxHubWire {
-		return wireMsg{}, protocolErrf("frame length %d out of range", wlen)
-	}
-	wire := make([]byte, wlen)
-	if _, err := io.ReadFull(r, wire); err != nil {
-		return wireMsg{}, fmt.Errorf("%w: truncated frame: %w", ErrHubProtocol, err)
-	}
-	frame, err := transport.DecodeFrame(wire)
-	if err != nil {
-		return wireMsg{}, protocolErrf("%v", err)
-	}
-	if frame.Type != transport.FrameData {
-		return wireMsg{}, protocolErrf("unexpected frame type %v", frame.Type)
-	}
-	if len(frame.Payload) < 1 {
-		return wireMsg{}, protocolErrf("empty frame payload")
-	}
-	return wireMsg{Session: frame.Seq, Kind: frame.Payload[0], Body: frame.Payload[1:]}, nil
+	return wireMsg{Session: session, Kind: payload[0], Body: payload[1:]}, nil
 }
 
 // newReader wraps a served connection for readMsg.

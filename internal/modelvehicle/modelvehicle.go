@@ -143,6 +143,6 @@ func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int6
 	return &session.Stack{
 		Plant:  &Plant{Server: sess.Server},
 		Client: sess.Client,
-		Link:   session.NetemLink{Conn: sess.Conn},
+		Links:  sess.Conn.Links,
 	}, nil
 }

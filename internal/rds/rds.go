@@ -306,24 +306,18 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 		}
 	}
 
-	var inj *faultinject.Injector
-	faults := stack.Link.Faults()
-	if faults != nil {
-		inj, err = faultinject.NewInjector(faults, clock.Now)
-		if err != nil {
-			return nil, err
-		}
-		inj.OnChange = spine.Fault
-		inj.Direction = cfg.InjectDirection
+	inj, err := faultinject.NewInjector(stack.Links, clock.Now)
+	if err != nil {
+		return nil, err
 	}
+	inj.OnChange = spine.Fault
+	inj.Direction = cfg.InjectDirection
 
 	// Native subsystem instruments: netem links, bridge endpoints. All
 	// handles bind here, at wiring time; the per-tick/per-packet paths
 	// see only nil-checked atomics.
 	if cfg.Metrics != nil {
-		if faults != nil {
-			faults.Instrument(cfg.Metrics)
-		}
+		stack.Links.Instrument(cfg.Metrics)
 		if plant, ok := stack.Plant.(interface {
 			SetInstruments(*bridge.ServerInstruments)
 		}); ok {
@@ -349,7 +343,6 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 	sess := &session.Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      drv,
 		Sink:          stack.Client,
 		Supervisor:    sup,
@@ -368,10 +361,7 @@ func Run(cfg BenchConfig) (*Outcome, error) {
 				ds.SetDeltaStreaming(true, cfg.KeyframeEvery)
 			}
 			if cfg.PersistentRule != nil {
-				if faults == nil {
-					return fmt.Errorf("rds: persistent rule needs a link with a fault surface (%s has none)", stack.Link.Name())
-				}
-				if err := faults.ApplyBoth(*cfg.PersistentRule); err != nil {
+				if err := stack.Links.ApplyBoth(*cfg.PersistentRule); err != nil {
 					return fmt.Errorf("rds: persistent rule: %w", err)
 				}
 				label := cfg.PersistentLabel

@@ -20,7 +20,7 @@ import (
 // allocation counts.
 func TestSupervisorTickSteadyStateAllocs(t *testing.T) {
 	clock, built, stack := buildStack(t)
-	inj, err := faultinject.NewInjector(stack.Link.Faults(), clock.Now)
+	inj, err := faultinject.NewInjector(stack.Links, clock.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

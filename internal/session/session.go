@@ -1,18 +1,18 @@
 // Package session owns the run lifecycle of one remote-driving test —
 // build → wire → run → teardown — around the four subsystems of the
-// paper's §III-A as explicit interfaces: the Plant (vehicle subsystem
-// over the simulated world), the Link (communication network), the
-// Operator (the driver at the station), and the Supervisor (scenario
-// supervision: POI-driven fault scheduling and end detection). A
-// structured Observer spine threads through all four layers, so data
-// logging (trace.Recorder via Record) is one subscriber among many
-// rather than the hard-wired owner of the run's hooks.
+// paper's §III-A: the Plant (vehicle subsystem over the simulated
+// world), the communication network (the NETEM duplex a Stack carries
+// as Links), the Operator (the driver at the station), and the
+// Supervisor (scenario supervision: POI-driven fault scheduling and
+// end detection). A structured Observer spine threads through all four
+// layers, so data logging (trace.Recorder via Record) is one subscriber
+// among many rather than the hard-wired owner of the run's hooks.
 //
 // rds.Run assembles the standard configuration (bridge plant, netem
 // link, driver-model operator, POI supervisor); campaign, validity and
 // the model-vehicle experiments all execute through it. New plants,
-// links, operators or supervisors plug in without another copy of the
-// run loop.
+// operators or supervisors plug in without another copy of the run
+// loop.
 package session
 
 import (
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"teledrive/internal/bridge"
-	"teledrive/internal/netem"
 	"teledrive/internal/simclock"
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
@@ -46,17 +45,6 @@ type Plant interface {
 	SetFrameInterval(d time.Duration)
 	// Stats snapshots the plant-side counters.
 	Stats() bridge.ServerStats
-}
-
-// Link is the communication network subsystem between plant and
-// operator station.
-type Link interface {
-	// Name labels the link implementation in logs.
-	Name() string
-	// Faults exposes the NETEM-emulated fault surface, or nil when the
-	// link has none (a real TCP link, say) — fault injection is then
-	// unavailable and the supervisor drives POIs without injecting.
-	Faults() *netem.Duplex
 }
 
 // Operator is the operator-station subsystem: each control period it
@@ -93,7 +81,6 @@ type Supervisor interface {
 type Session struct {
 	Clock      *simclock.Clock
 	Plant      Plant
-	Link       Link
 	Operator   Operator
 	Sink       ControlSink
 	Supervisor Supervisor
@@ -138,8 +125,6 @@ func (s *Session) validate() error {
 		return fmt.Errorf("session: nil clock")
 	case s.Plant == nil:
 		return fmt.Errorf("session: nil plant")
-	case s.Link == nil:
-		return fmt.Errorf("session: nil link")
 	case s.Operator == nil:
 		return fmt.Errorf("session: nil operator")
 	case s.Sink == nil:

@@ -8,11 +8,13 @@ import (
 	"teledrive/internal/bridge"
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
+	"teledrive/internal/geom"
 	"teledrive/internal/scenario"
 	"teledrive/internal/simclock"
 	"teledrive/internal/trace"
 	"teledrive/internal/transport"
 	"teledrive/internal/vehicle"
+	"teledrive/internal/world"
 )
 
 // buildStack wires a real bridge stack over the follow scenario.
@@ -81,7 +83,6 @@ func TestSessionValidate(t *testing.T) {
 		return &Session{
 			Clock:         clock,
 			Plant:         stack.Plant,
-			Link:          stack.Link,
 			Operator:      constOperator{},
 			Sink:          stack.Client,
 			Supervisor:    &stopAfter{clock: clock, at: time.Second},
@@ -95,7 +96,6 @@ func TestSessionValidate(t *testing.T) {
 	breakers := map[string]func(*Session){
 		"clock":    func(s *Session) { s.Clock = nil },
 		"plant":    func(s *Session) { s.Plant = nil },
-		"link":     func(s *Session) { s.Link = nil },
 		"operator": func(s *Session) { s.Operator = nil },
 		"sink":     func(s *Session) { s.Sink = nil },
 		"sup":      func(s *Session) { s.Supervisor = nil },
@@ -116,7 +116,6 @@ func TestSessionRunsToSupervisorDone(t *testing.T) {
 	sess := &Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      constOperator{ctrl: vehicle.Control{Throttle: 0.3}},
 		Sink:          stack.Client,
 		Supervisor:    &stopAfter{clock: clock, at: 2 * time.Second},
@@ -145,7 +144,6 @@ func TestSessionTimeout(t *testing.T) {
 	sess := &Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      constOperator{},
 		Sink:          stack.Client,
 		Supervisor:    never,
@@ -161,13 +159,61 @@ func TestSessionTimeout(t *testing.T) {
 	}
 }
 
+// TestSessionChainsExistingWorldCallbacks: Run takes over the world's
+// collision and lane-invasion hooks to feed the spine, and must keep
+// calling whatever was installed before it.
+func TestSessionChainsExistingWorldCallbacks(t *testing.T) {
+	clock, built, stack := buildStack(t)
+	w := built.World
+	var collisions, invasions int
+	w.OnCollision = func(world.CollisionEvent) { collisions++ }
+	w.OnLaneInvasion = func(world.LaneInvasionEvent) { invasions++ }
+
+	// A parked car just ahead of the ego on its route: full throttle
+	// with a slight steer crosses a lane line and hits it within the run.
+	start, _ := built.Route.Project(built.Ego.Pose().Pos)
+	rail, err := world.NewRail(built.Route, start+12, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.SpawnScripted(world.KindParkedCar, "wall", geom.V(4.7, 1.9), rail); err != nil {
+		t.Fatal(err)
+	}
+	log := &trace.RunLog{}
+	rec := trace.NewPassiveRecorder(w, built.Ego, built.Route, log)
+	sess := &Session{
+		Clock:         clock,
+		Plant:         stack.Plant,
+		Operator:      constOperator{ctrl: vehicle.Control{Throttle: 1, Steer: 0.05}},
+		Sink:          stack.Client,
+		Supervisor:    &stopAfter{clock: clock, at: 6 * time.Second},
+		Observers:     Observers{Record(rec)},
+		ControlPeriod: 20 * time.Millisecond,
+		Timeout:       time.Minute,
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Collisions) == 0 || len(log.LaneInvasions) == 0 {
+		t.Fatalf("recorder on the spine logged %d collisions and %d lane invasions, want both",
+			len(log.Collisions), len(log.LaneInvasions))
+	}
+	if collisions != len(log.Collisions) || invasions != len(log.LaneInvasions) {
+		t.Fatalf("pre-existing callbacks saw %d collisions and %d lane invasions, the spine %d and %d",
+			collisions, invasions, len(log.Collisions), len(log.LaneInvasions))
+	}
+	// Without an active condition, events carry the NFI label.
+	if log.Collisions[0].Label != "NFI" {
+		t.Fatalf("label = %q", log.Collisions[0].Label)
+	}
+}
+
 func TestSessionPhaseAndConditionOrder(t *testing.T) {
 	clock, _, stack := buildStack(t)
 	log := &eventLog{}
 	sess := &Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      constOperator{},
 		Sink:          stack.Client,
 		Supervisor:    &stopAfter{clock: clock, at: 100 * time.Millisecond},
@@ -197,7 +243,7 @@ func TestSessionPhaseAndConditionOrder(t *testing.T) {
 func TestPOISupervisorInjectsPerPOI(t *testing.T) {
 	clock, built, stack := buildStack(t)
 	scn := scenario.FollowVehicle()
-	inj, err := faultinject.NewInjector(stack.Link.Faults(), clock.Now)
+	inj, err := faultinject.NewInjector(stack.Links, clock.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +260,6 @@ func TestPOISupervisorInjectsPerPOI(t *testing.T) {
 	sess := &Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      newDriver(t, clock, built, stack),
 		Sink:          stack.Client,
 		Supervisor:    sup,
@@ -252,7 +297,7 @@ func TestPOISupervisorInjectsPerPOI(t *testing.T) {
 func TestPOISupervisorCountsFailedInjections(t *testing.T) {
 	clock, built, stack := buildStack(t)
 	scn := scenario.FollowVehicle()
-	inj, err := faultinject.NewInjector(stack.Link.Faults(), clock.Now)
+	inj, err := faultinject.NewInjector(stack.Links, clock.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +313,6 @@ func TestPOISupervisorCountsFailedInjections(t *testing.T) {
 	sess := &Session{
 		Clock:         clock,
 		Plant:         stack.Plant,
-		Link:          stack.Link,
 		Operator:      newDriver(t, clock, built, stack),
 		Sink:          stack.Client,
 		Supervisor:    sup,
@@ -361,7 +405,6 @@ func TestSpineBroadcastZeroAlloc(t *testing.T) {
 // Compile-time checks: the stock parts satisfy the session interfaces.
 var (
 	_ Plant       = (*bridge.Server)(nil)
-	_ Link        = NetemLink{}
 	_ ControlSink = (*bridge.Client)(nil)
 	_ Supervisor  = (*POISupervisor)(nil)
 	_ Observer    = Record(nil)

@@ -10,11 +10,13 @@ import (
 
 // Stack is one built plant+link+operator-side endpoint: everything a
 // session needs below the operator. The Client doubles as the control
-// sink and the operator station's perception/meta endpoint.
+// sink and the operator station's perception/meta endpoint; Links is
+// the NETEM-emulated duplex between them — the communication network
+// and its fault-injection surface.
 type Stack struct {
 	Plant  Plant
 	Client *bridge.Client
-	Link   Link
+	Links  *netem.Duplex
 }
 
 // StackBuilder constructs a stack over a scenario's world. rds.Run
@@ -33,18 +35,6 @@ func NewStack(clock *simclock.Clock, w *world.World, ego *world.Actor, seed int6
 	return &Stack{
 		Plant:  sess.Server,
 		Client: sess.Client,
-		Link:   NetemLink{Conn: sess.Conn},
+		Links:  sess.Conn.Links,
 	}, nil
 }
-
-// NetemLink is the simulated communication network: a duplex pair of
-// NETEM-emulated links carrying the bridge transport.
-type NetemLink struct {
-	Conn *transport.Conn
-}
-
-// Name implements Link.
-func (NetemLink) Name() string { return "netem" }
-
-// Faults implements Link: the duplex is the fault-injection surface.
-func (l NetemLink) Faults() *netem.Duplex { return l.Conn.Links }

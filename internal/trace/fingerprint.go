@@ -18,79 +18,104 @@ import (
 // simulated trajectories after it (see internal/session's equivalence
 // test and `make fingerprint`).
 func Fingerprint(l *RunLog) string {
-	h := sha256.New()
-	hashString(h, l.Subject)
-	hashString(h, l.Scenario)
-	hashString(h, l.RunType)
-	hashU64(h, uint64(l.Seed))
+	h := &fpWriter{h: sha256.New()}
+	h.str(l.Subject)
+	h.str(l.Scenario)
+	h.str(l.RunType)
+	h.u64(uint64(l.Seed))
 
-	hashU64(h, uint64(len(l.Ego)))
+	h.u64(uint64(len(l.Ego)))
 	for _, e := range l.Ego {
-		hashDur(h, e.Time)
-		hashU64(h, e.Frame)
-		hashF64(h, e.X, e.Y, e.Z, e.Vx, e.Vy, e.Vz, e.Ax, e.Ay, e.Az)
-		hashF64(h, e.Station, e.Lateral, e.Speed, e.Throttle, e.Steer, e.Brake)
+		h.dur(e.Time)
+		h.u64(e.Frame)
+		h.f64(e.X, e.Y, e.Z, e.Vx, e.Vy, e.Vz, e.Ax, e.Ay, e.Az)
+		h.f64(e.Station, e.Lateral, e.Speed, e.Throttle, e.Steer, e.Brake)
 	}
-	hashU64(h, uint64(len(l.Others)))
+	h.u64(uint64(len(l.Others)))
 	for _, o := range l.Others {
-		hashU64(h, uint64(o.Actor))
-		hashDur(h, o.Time)
-		hashU64(h, o.Frame)
-		hashF64(h, o.Distance, o.X, o.Y, o.Z, o.Vx, o.Vy, o.Vz, o.Station, o.Lateral, o.Speed)
+		h.u64(uint64(o.Actor))
+		h.dur(o.Time)
+		h.u64(o.Frame)
+		h.f64(o.Distance, o.X, o.Y, o.Z, o.Vx, o.Vy, o.Vz, o.Station, o.Lateral, o.Speed)
 	}
-	hashU64(h, uint64(len(l.Collisions)))
+	h.u64(uint64(len(l.Collisions)))
 	for _, c := range l.Collisions {
-		hashDur(h, c.Time)
-		hashU64(h, c.Frame)
-		hashU64(h, uint64(c.Actor))
-		hashU64(h, uint64(c.Other))
-		hashF64(h, c.SpeedA, c.SpeedB)
-		hashString(h, c.Label)
+		h.dur(c.Time)
+		h.u64(c.Frame)
+		h.u64(uint64(c.Actor))
+		h.u64(uint64(c.Other))
+		h.f64(c.SpeedA, c.SpeedB)
+		h.str(c.Label)
 	}
-	hashU64(h, uint64(len(l.LaneInvasions)))
+	h.u64(uint64(len(l.LaneInvasions)))
 	for _, li := range l.LaneInvasions {
-		hashDur(h, li.Time)
-		hashU64(h, li.Frame)
-		hashU64(h, uint64(li.Actor))
-		hashString(h, li.Kind)
-		hashString(h, li.LaneID)
-		hashF64(h, li.Lateral)
-		hashString(h, li.Label)
+		h.dur(li.Time)
+		h.u64(li.Frame)
+		h.u64(uint64(li.Actor))
+		h.str(li.Kind)
+		h.str(li.LaneID)
+		h.f64(li.Lateral)
+		h.str(li.Label)
 	}
-	hashU64(h, uint64(len(l.Faults)))
+	h.u64(uint64(len(l.Faults)))
 	for _, f := range l.Faults {
-		hashDur(h, f.Time)
-		hashString(h, f.Link)
-		hashString(h, f.Action)
-		hashString(h, f.Desc)
-		hashString(h, f.Label)
+		h.dur(f.Time)
+		h.str(f.Link)
+		h.str(f.Action)
+		h.str(f.Desc)
+		h.str(f.Label)
 	}
-	hashU64(h, uint64(len(l.ConditionSpans)))
+	h.u64(uint64(len(l.ConditionSpans)))
 	for _, s := range l.ConditionSpans {
-		hashString(h, s.Label)
-		hashDur(h, s.From)
-		hashDur(h, s.To)
+		h.str(s.Label)
+		h.dur(s.From)
+		h.dur(s.To)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.flush()
+	return hex.EncodeToString(h.h.Sum(nil))
 }
 
-func hashString(h hash.Hash, s string) {
-	hashU64(h, uint64(len(s)))
-	h.Write([]byte(s))
+// fpWriter stages Fingerprint's canonical encoding in a buffer held
+// beside the hash and writes it in blocks. A per-field [8]byte handed
+// to hash.Hash's Write would escape to the heap on every call; staging
+// keeps the whole encoding to the writer's one allocation.
+type fpWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
 }
 
-func hashU64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
 }
 
-func hashDur(h hash.Hash, d time.Duration) { hashU64(h, uint64(d)) }
+func (w *fpWriter) u64(v uint64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
 
-// hashF64 hashes the exact IEEE-754 bit patterns, so fingerprints
+func (w *fpWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+func (w *fpWriter) dur(d time.Duration) { w.u64(uint64(d)) }
+
+// f64 hashes the exact IEEE-754 bit patterns, so fingerprints
 // distinguish values that print identically (and even -0 from +0).
-func hashF64(h hash.Hash, vs ...float64) {
+func (w *fpWriter) f64(vs ...float64) {
 	for _, v := range vs {
-		hashU64(h, math.Float64bits(v))
+		w.u64(math.Float64bits(v))
 	}
 }

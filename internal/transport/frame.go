@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"time"
 )
 
@@ -71,6 +72,8 @@ var (
 	ErrCorruptFrame  = errors.New("transport: corrupt frame")
 	ErrShortFrame    = errors.New("transport: short frame")
 	ErrPayloadTooBig = errors.New("transport: payload exceeds MaxPayload")
+	// ErrBadStream marks malformed frame-stream input (ReadStreamFrame).
+	ErrBadStream = errors.New("transport: malformed frame stream")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -135,4 +138,56 @@ func DecodeFrame(buf []byte) (Frame, error) {
 		Timestamp: time.Duration(binary.BigEndian.Uint64(buf[11:19])),
 		Payload:   buf[headerLen : headerLen+int(plen)],
 	}, nil
+}
+
+// WriteStreamFrame writes payload onto a byte stream as one FrameData
+// frame with sequence seq, prefixed by the encoded frame's 4-byte
+// big-endian length. It is the framing both TCP wires (the hub's and
+// the distributed campaign's) put their own envelopes in. w is not
+// flushed.
+func WriteStreamFrame(w io.Writer, seq uint64, payload []byte) error {
+	buf := make([]byte, 4, 4+frameOverhead+len(payload))
+	buf, err := EncodeFrameAppend(buf, Frame{Type: FrameData, Seq: seq, Payload: payload})
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	_, err = w.Write(buf)
+	return err
+}
+
+// ReadStreamFrame reads one frame written by WriteStreamFrame and
+// returns its sequence and payload (freshly allocated, safe to retain).
+// maxPayload bounds the payload. It returns exactly io.EOF on a clean
+// close at a frame boundary; every other failure — a truncated stream,
+// a length out of range, a corrupt frame, a frame that is not
+// FrameData, an empty payload — is an ErrBadStream-wrapped error. The
+// stream is hostile input: nothing it carries may panic the reader.
+func ReadStreamFrame(r io.Reader, maxPayload int) (seq uint64, payload []byte, err error) {
+	var lenbuf [4]byte
+	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
+		if err == io.EOF {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("%w: truncated frame length: %w", ErrBadStream, err)
+	}
+	wlen := binary.BigEndian.Uint32(lenbuf[:])
+	if wlen == 0 || int64(wlen) > int64(maxPayload+frameOverhead) {
+		return 0, nil, fmt.Errorf("%w: frame length %d out of range", ErrBadStream, wlen)
+	}
+	wire := make([]byte, wlen)
+	if _, err := io.ReadFull(r, wire); err != nil {
+		return 0, nil, fmt.Errorf("%w: truncated frame: %w", ErrBadStream, err)
+	}
+	frame, err := DecodeFrame(wire)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %w", ErrBadStream, err)
+	}
+	if frame.Type != FrameData {
+		return 0, nil, fmt.Errorf("%w: unexpected frame type %v", ErrBadStream, frame.Type)
+	}
+	if len(frame.Payload) == 0 {
+		return 0, nil, fmt.Errorf("%w: empty frame payload", ErrBadStream)
+	}
+	return frame.Seq, frame.Payload, nil
 }

@@ -23,7 +23,7 @@ stage make lint
 make lint
 stage make race
 make race
-stage make race-hub
+stage "make race-hub (internal/hub chaos battery + cmd/teleop local demo)"
 make race-hub
 stage make race-search
 make race-search
