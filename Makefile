@@ -74,8 +74,8 @@ race-search:
 
 # Short fuzz passes over the hostile-input surfaces: the lint
 # suppression parser (runs over every comment in the repo on each
-# `make lint`), the world-view decoder, the transport framing, the
-# spatial-index equivalence property (grid-indexed projection must stay
+# `make lint`), the world-view decoder, the transport framing and its
+# fragment header (re-fragmentation round trip), the spatial-index equivalence property (grid-indexed projection must stay
 # bit-identical to the linear reference scan), and the Prometheus
 # exposition writer (arbitrary metric/label names must sanitize into
 # grammar-valid output).
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllow -fuzztime=5s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalWorldView -fuzztime=5s ./internal/sensors
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzParseFragment -fuzztime=5s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzProjectEquivalence -fuzztime=5s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzExposition -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=5s ./internal/campaignd

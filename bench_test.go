@@ -266,13 +266,14 @@ func campaignCellStats(res *campaign.Result) (cells int, cellSum time.Duration) 
 //
 // Read cells_per_s (cells ÷ campaign wall clock) for the true
 // throughput — it is the only metric that cannot be inflated by
-// oversubscription. The historical concurrency metric (summed per-cell
-// wall-clock ÷ campaign wall-clock) is the average number of in-flight
-// cells: on a host with ≥ workers cores it coincides with the speedup,
-// but on an oversubscribed host (e.g. a 1-core CI box) it keeps rising
-// with the worker count while cells_per_s stays flat — the pool merely
-// kept N cells resident while the wall clock stood still. See
-// EXPERIMENTS.md "Worker scaling on an oversubscribed host".
+// oversubscription. concurrency (summed per-cell wall-clock ÷ campaign
+// wall-clock) is the average number of in-flight cells: on a host with
+// ≥ workers cores it coincides with the speedup, but on an
+// oversubscribed host (e.g. a 1-core CI box) it keeps rising with the
+// worker count while cells_per_s stays flat — the pool merely kept N
+// cells resident while the wall clock stood still. cell_ms is the mean
+// per-cell wall-clock. See EXPERIMENTS.md "Worker scaling on an
+// oversubscribed host".
 func BenchmarkCampaignWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -291,7 +292,6 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 			}
 			cells, cellSum := campaignCellStats(res)
 			b.ReportMetric(res.Elapsed.Seconds(), "wall_s")
-			b.ReportMetric(cellSum.Seconds(), "cells_s")
 			if res.Elapsed > 0 {
 				b.ReportMetric(float64(cells)/res.Elapsed.Seconds(), "cells_per_s")
 				b.ReportMetric(cellSum.Seconds()/res.Elapsed.Seconds(), "concurrency")

@@ -58,7 +58,7 @@ type Server struct {
 
 	// view and sendBuf are reused across camera ticks so the per-frame
 	// capture→marshal→send path does not allocate. Reuse is safe because
-	// transport.Endpoint.Send copies the payload into its fragments.
+	// transport.Endpoint.SendPadded copies the payload into its fragments.
 	view    sensors.WorldView
 	sendBuf []byte
 
@@ -220,21 +220,26 @@ func (s *Server) cameraTick(now time.Duration) {
 		return
 	}
 	s.cam.CaptureInto(&s.view)
+	// The frame's synthetic video travels as virtual pad: it sizes the
+	// frame on the link, but only the world-view bytes are built.
 	keyframe := true
+	var pad int
 	if s.deltaStream && s.baseValid && !s.forceKey && s.sinceKey < s.keyframeEvery {
 		s.sendBuf = append(s.sendBuf[:0], byte(MsgDeltaFrame))
 		s.sendBuf = sensors.MarshalWorldViewDeltaAppend(s.sendBuf, s.baseView, s.view, s.cam.VideoDeltaBytes)
+		pad = max(s.cam.VideoDeltaBytes, 0)
 		// A diff that does not beat the keyframe (mass actor turnover)
 		// is pure downside — fall back to the self-contained form.
-		if len(s.sendBuf) < 1+sensors.WorldViewWireSize(s.view) {
+		if len(s.sendBuf)+pad < 1+sensors.WorldViewWireSize(s.view) {
 			keyframe = false
 		}
 	}
 	if keyframe {
 		s.sendBuf = append(s.sendBuf[:0], byte(MsgFrame))
 		s.sendBuf = sensors.MarshalWorldViewAppend(s.sendBuf, s.view)
+		pad = max(s.view.VideoFill, 0)
 	}
-	if err := s.ep.Send(s.sendBuf); err != nil {
+	if err := s.ep.SendPadded(s.sendBuf, pad); err != nil {
 		// Send window full: the sender-side socket buffer is congested;
 		// drop this frame like a saturated video encoder queue would.
 		// baseView stays at the last accepted send, keeping the diff
@@ -247,7 +252,7 @@ func (s *Server) cameraTick(now time.Duration) {
 		s.stats.FramesSent++
 		if s.ins != nil {
 			s.ins.FramesSent.Inc()
-			s.ins.PayloadBytes.Add(uint64(len(s.sendBuf)))
+			s.ins.PayloadBytes.Add(uint64(len(s.sendBuf) + pad))
 		}
 		if s.deltaStream {
 			s.rememberBase(keyframe)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +108,62 @@ func TestHubServeLifecycle(t *testing.T) {
 		}
 	}
 	waitDrained(t, h, 5*time.Second)
+}
+
+// countingConn counts the bytes a station reads off its connection.
+type countingConn struct {
+	net.Conn
+	read atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// TestHubServeRelaysNoVideoPadding: a served session's frames carry
+// their synthetic video as a length in the world-view header, not as
+// bytes — the station reads about one world view per displayed frame,
+// not the 24 kB fill, yet sees the full video size.
+func TestHubServeRelaysNoVideoPadding(t *testing.T) {
+	_, addr := startHub(t, hub.Config{Turbo: true})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: c}
+	st := hub.NewStation(cc)
+	defer st.Close()
+	ss, err := st.Join(hub.JoinRequest{
+		Scenario:   "follow-vehicle",
+		Seed:       5,
+		DurationNS: (3 * time.Second).Nanoseconds(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end, ok := ss.Wait(30 * time.Second)
+	if !ok {
+		t.Fatal("session never ended")
+	}
+	if end.Reason != "completed" {
+		t.Fatalf("end reason %q, want completed", end.Reason)
+	}
+	shown := ss.Stats().FramesReceived
+	if shown == 0 {
+		t.Fatal("station displayed no frames")
+	}
+	if per := cc.read.Load() / int64(shown); per >= 2000 {
+		t.Errorf("station read %d bytes per displayed frame (%d frames), want < 2000", per, shown)
+	}
+	view, ok := ss.Frame()
+	if !ok {
+		t.Fatal("no displayed frame")
+	}
+	if view.VideoFill != sensors.DefaultVideoFrameBytes {
+		t.Errorf("displayed frame's VideoFill = %d, want %d", view.VideoFill, sensors.DefaultVideoFrameBytes)
+	}
 }
 
 // TestHubChaosMidFrameKill cuts the station connection while frames are

@@ -47,11 +47,15 @@ type JoinRequest struct {
 	// FrameIntervalNS overrides the camera frame period (0 = default).
 	FrameIntervalNS int64 `json:"frame_interval_ns,omitempty"`
 	// VideoBytes overrides the synthetic encoded-video payload per full
-	// frame (0 = sensors.DefaultVideoFrameBytes). Fragile links want
-	// this small: every MTU's worth is one more fragment to lose.
+	// frame (0 = sensors.DefaultVideoFrameBytes). It sizes the frame on
+	// the session's emulated link — fragments, loss exposure, queueing —
+	// but is never sent to the station: the relay carries it as a
+	// length in the world-view header. Fragile links want this small:
+	// every MTU's worth is one more fragment to lose.
 	VideoBytes int `json:"video_bytes,omitempty"`
-	// VideoDeltaBytes overrides the synthetic video residual shipped by
-	// delta frames (0 = sensors.DefaultVideoDeltaBytes).
+	// VideoDeltaBytes overrides the synthetic video residual delta
+	// frames put on the emulated link, likewise as a length only
+	// (0 = sensors.DefaultVideoDeltaBytes).
 	VideoDeltaBytes int `json:"video_delta_bytes,omitempty"`
 	// Rule, when non-nil, is a persistent netem impairment applied to
 	// both directions of the session's emulated link.

@@ -47,7 +47,7 @@ func (c *Capture) Receive(p Packet) {
 	if len(c.records) < c.limit {
 		c.records = append(c.records, CaptureRecord{
 			Seq:         p.Seq,
-			Size:        len(p.Payload),
+			Size:        len(p.Payload) + p.Pad,
 			SentAt:      p.SentAt,
 			DeliveredAt: p.DeliveredAt,
 			Corrupted:   p.Corrupted,

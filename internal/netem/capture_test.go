@@ -15,7 +15,7 @@ func TestCaptureRecordsAndForwards(t *testing.T) {
 	link := NewLink("t", clk, 1, cap.Receive)
 	link.AddRule(Rule{Delay: 10 * time.Millisecond})
 	for i := 0; i < 50; i++ {
-		link.Send(make([]byte, 100))
+		link.SendPadded(make([]byte, 60), 40) // Size counts the virtual pad
 		clk.Advance(time.Millisecond)
 	}
 	clk.Advance(time.Second)

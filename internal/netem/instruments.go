@@ -47,7 +47,7 @@ func NewInstruments(reg *telemetry.Registry, link string) *Instruments {
 		Reordered:   pkts.With(link, "reordered"),
 		Throttled:   pkts.With(link, "throttled"),
 		BytesSent: reg.CounterVec("teledrive_netem_bytes_sent_total",
-			"Payload bytes accepted by Send, by link.", "link").With(link),
+			"Packet bytes accepted by Send, virtual padding included, by link.", "link").With(link),
 		QueueDepth: reg.GaugeVec("teledrive_netem_queue_depth",
 			"Packets currently in flight through the emulated qdisc, by link.", "link").With(link),
 		RuleAdds:    rules.With(link, "add"),

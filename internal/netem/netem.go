@@ -2,9 +2,10 @@
 // queuing discipline used by the paper for network fault injection.
 //
 // A Link models the egress path of one network interface. Packets
-// submitted with Send traverse an emulated qdisc that can impose delay
-// (with jitter, correlation, and a choice of distributions), random or
-// bursty (Gilbert–Elliott) loss, duplication, corruption, reordering, and
+// submitted with Send (or SendPadded, whose trailing bytes are virtual)
+// traverse an emulated qdisc that can impose delay (with jitter,
+// correlation, and a choice of distributions), random or bursty
+// (Gilbert–Elliott) loss, duplication, corruption, reordering, and
 // token-bucket rate limiting with a bounded queue — the full fault
 // taxonomy of `tc qdisc ... netem ...` as described in the paper §II-C.
 //
@@ -88,7 +89,7 @@ type Rule struct {
 
 	// Duplicate is the probability a packet is delivered twice.
 	Duplicate float64
-	// Corrupt is the probability a single bit of the payload is flipped.
+	// Corrupt is the probability a single bit of the packet is flipped.
 	Corrupt float64
 
 	// Reorder is the probability a packet skips the delay queue and is
@@ -193,12 +194,20 @@ type Packet struct {
 	// Payload is the packet body. Delivered payloads are private copies;
 	// corruption mutates only the copy.
 	Payload []byte
+	// Pad is a virtual tail of Pad bytes following Payload: it counts
+	// toward the packet's size on the link (statistics, serialization
+	// time, the corruption draw) but is never materialized.
+	Pad int
 	// SentAt is the simulated time the packet entered the link.
 	SentAt time.Duration
 	// DeliveredAt is the simulated time the packet left the link.
 	DeliveredAt time.Duration
 	// Corrupted marks payloads that had a bit flipped in transit.
 	Corrupted bool
+	// PadCorrupted marks a corruption whose flipped bit landed in the
+	// virtual Pad: Payload is intact, but the packet as sent was not.
+	// Corrupted is set too.
+	PadCorrupted bool
 	// Duplicate marks the extra copy generated by duplication.
 	Duplicate bool
 }
@@ -215,7 +224,7 @@ type Stats struct {
 	Duplicated  uint64 // extra copies created
 	CorruptedN  uint64 // packets with a flipped bit
 	Reordered   uint64 // packets that bypassed the delay queue
-	BytesSent   uint64
+	BytesSent   uint64 // bytes submitted to Send, Packet.Pad included
 }
 
 // Receiver consumes packets that exit the link.
@@ -322,22 +331,28 @@ func (l *Link) DeleteRule() {
 	}
 }
 
-// Send submits a payload to the link. It reports whether the packet was
-// accepted (false = tail drop or loss; the packet will never arrive).
-// The payload is copied; the caller may reuse the buffer.
-func (l *Link) Send(payload []byte) bool {
+// Send submits a payload to the link; it is SendPadded(payload, 0).
+func (l *Link) Send(payload []byte) bool { return l.SendPadded(payload, 0) }
+
+// SendPadded submits a packet of len(payload)+pad bytes whose last pad
+// bytes are virtual (Packet.Pad): the link shapes, counts and corrupts
+// it by that full size, but copies only payload. It reports whether the
+// packet was accepted (false = tail drop or loss; the packet will never
+// arrive). The payload is copied; the caller may reuse the buffer.
+func (l *Link) SendPadded(payload []byte, pad int) bool {
 	now := l.clock.Now()
 	seq := l.nextSeq + 1
 	l.nextSeq = seq
+	size := len(payload) + pad
 	l.stats.Sent++
-	l.stats.BytesSent += uint64(len(payload))
+	l.stats.BytesSent += uint64(size)
 	if l.ins != nil {
 		l.ins.Sent.Inc()
-		l.ins.BytesSent.Add(uint64(len(payload)))
+		l.ins.BytesSent.Add(uint64(size))
 	}
 
 	if !l.hasRule {
-		l.deliverAt(now, Packet{Seq: seq, Payload: l.clone(payload), SentAt: now})
+		l.deliverAt(now, Packet{Seq: seq, Payload: l.clone(payload), Pad: pad, SentAt: now})
 		return true
 	}
 	r := l.rule
@@ -364,12 +379,17 @@ func (l *Link) Send(payload []byte) bool {
 		return false
 	}
 
-	pkt := Packet{Seq: seq, Payload: l.clone(payload), SentAt: now}
+	pkt := Packet{Seq: seq, Payload: l.clone(payload), Pad: pad, SentAt: now}
 
-	// 3. Corruption: flip one random bit.
-	if r.Corrupt > 0 && len(pkt.Payload) > 0 && l.rng.Float64() < r.Corrupt {
-		bit := l.rng.Intn(len(pkt.Payload) * 8)
-		pkt.Payload[bit/8] ^= 1 << (bit % 8)
+	// 3. Corruption: flip one random bit of the packet as sent. A bit in
+	// the virtual pad has no byte to flip; the packet is marked instead.
+	if r.Corrupt > 0 && size > 0 && l.rng.Float64() < r.Corrupt {
+		bit := l.rng.Intn(size * 8)
+		if byteIdx := bit / 8; byteIdx < len(pkt.Payload) {
+			pkt.Payload[byteIdx] ^= 1 << (bit % 8)
+		} else {
+			pkt.PadCorrupted = true
+		}
 		pkt.Corrupted = true
 		l.stats.CorruptedN++
 		if l.ins != nil {
@@ -381,7 +401,7 @@ func (l *Link) Send(payload []byte) bool {
 	// the netem reorder escape hatch.
 	depart := now
 	if r.Rate > 0 {
-		txTime := time.Duration(float64(len(payload)) / r.Rate * float64(time.Second))
+		txTime := time.Duration(float64(size) / r.Rate * float64(time.Second))
 		if l.lastDepart > depart {
 			depart = l.lastDepart
 		}

@@ -262,6 +262,49 @@ func TestCorruptionOfEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestCorruptionInPad: a corruption draw over a padded packet's full
+// size that lands in the virtual pad flips no payload byte and marks
+// the packet PadCorrupted instead; one landing in the payload flips
+// exactly one bit as before.
+func TestCorruptionInPad(t *testing.T) {
+	clk, link, col := newTestLink(t, 9)
+	link.AddRule(Rule{Corrupt: 1})
+	orig := []byte{0x00, 0xFF, 0xAA, 0x55}
+	const pad = 4
+	for i := 0; i < 64; i++ {
+		link.SendPadded(orig, pad)
+	}
+	link.SendPadded(nil, pad) // a pure-pad packet can only corrupt in its pad
+	clk.Advance(time.Second)
+	if len(col.pkts) != 65 {
+		t.Fatalf("delivered %d packets, want 65", len(col.pkts))
+	}
+	inPad := 0
+	for _, p := range col.pkts {
+		if !p.Corrupted || p.Pad != pad {
+			t.Fatalf("packet %d: Corrupted=%v Pad=%d, want true, %d", p.Seq, p.Corrupted, p.Pad, pad)
+		}
+		if p.PadCorrupted {
+			inPad++
+			if !bytes.Equal(p.Payload, orig[:len(p.Payload)]) {
+				t.Fatalf("packet %d: pad corruption touched the payload: % x", p.Seq, p.Payload)
+			}
+		} else if bytes.Equal(p.Payload, orig) {
+			t.Fatalf("packet %d: corrupted, but neither payload nor pad was hit", p.Seq)
+		}
+	}
+	if last := col.pkts[len(col.pkts)-1]; !last.PadCorrupted {
+		t.Fatal("pure-pad packet not marked PadCorrupted")
+	}
+	// Half of each 8-byte packet is pad: both outcomes must occur.
+	if inPad < 10 || inPad > 55 {
+		t.Fatalf("%d of 65 corruptions landed in the pad, want about half", inPad)
+	}
+	if got := link.Stats().CorruptedN; got != 65 {
+		t.Fatalf("CorruptedN = %d, want 65", got)
+	}
+}
+
 func TestReorderBypassesDelay(t *testing.T) {
 	clk, link, col := newTestLink(t, 3)
 	link.AddRule(Rule{Delay: 100 * time.Millisecond, Reorder: 0.5, Limit: 100000})
@@ -527,7 +570,8 @@ func TestStatsBytes(t *testing.T) {
 	_, link, _ := newTestLink(t, 1)
 	link.Send(make([]byte, 100))
 	link.Send(make([]byte, 50))
-	if got := link.Stats().BytesSent; got != 150 {
-		t.Fatalf("BytesSent = %d, want 150", got)
+	link.SendPadded(make([]byte, 10), 40) // the virtual pad counts
+	if got := link.Stats().BytesSent; got != 200 {
+		t.Fatalf("BytesSent = %d, want 200", got)
 	}
 }

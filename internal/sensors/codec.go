@@ -15,8 +15,13 @@ import (
 // Wire layout (big-endian):
 //
 //	WorldView: frame(8) simTime(8) count(2) videoLen(4) ego(actor)
-//	           others(actor)*count video-fill(videoLen)
+//	           others(actor)*count
 //	actor:     id(4) kind(1) x(8) y(8) yaw(8) speed(8) steer(8) extX(8) extY(8)
+//
+// The synthetic video fill is counted in the header (videoLen), not
+// sent: the bridge puts those videoLen bytes on the link as a virtual
+// pad (transport.Endpoint.SendPadded), so they size the frame's
+// fragments without ever being allocated, copied or checksummed.
 const (
 	actorWireLen  = 4 + 1 + 7*8
 	headerWireLen = 8 + 8 + 2 + 4
@@ -40,15 +45,10 @@ func MarshalWorldView(v WorldView) []byte {
 // MarshalWorldViewAppend appends the serialized view to dst (growing it
 // as needed) and returns the extended slice. The appended bytes are
 // exactly MarshalWorldView's output; reusing dst across frames makes
-// the steady-state send path allocation-free. The video-fill region is
-// zeroed explicitly — a reused buffer carries the previous frame's
-// bytes, and the wire contract is an all-zero synthetic payload.
+// the steady-state send path allocation-free.
 func MarshalWorldViewAppend(dst []byte, v WorldView) []byte {
-	fill := v.VideoFill
-	if fill < 0 {
-		fill = 0
-	}
-	n := headerWireLen + actorWireLen*(1+len(v.Others)) + fill
+	fill := max(v.VideoFill, 0)
+	n := headerWireLen + actorWireLen*(1+len(v.Others))
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
 	buf := dst[base:]
@@ -61,7 +61,6 @@ func MarshalWorldViewAppend(dst []byte, v WorldView) []byte {
 	for _, a := range v.Others {
 		off = putActor(buf, off, a)
 	}
-	clear(buf[off:]) // zero-filled synthetic video payload
 	return dst
 }
 
@@ -90,7 +89,7 @@ func UnmarshalWorldViewInto(v *WorldView, buf []byte) error {
 	if fill < 0 || fill > maxVideoFill {
 		return fmt.Errorf("%w: video fill %d", ErrBadWorldView, fill)
 	}
-	want := headerWireLen + actorWireLen*(1+count) + fill
+	want := headerWireLen + actorWireLen*(1+count)
 	if len(buf) != want {
 		return fmt.Errorf("%w: length %d, want %d for %d actors", ErrBadWorldView, len(buf), want, count)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"teledrive/internal/world"
@@ -18,7 +17,7 @@ import (
 // property test pins for every tick of every fingerprint cell.
 //
 //	delta:  baseFrame(8) frame(8) simTime(8) videoFill(4) deltaFill(4)
-//	        count(2) ego-entry others-entry*count fill(deltaFill)
+//	        count(2) ego-entry others-entry*count
 //	ego:    0x01 actor(61)            — full record (ego identity changed)
 //	        0x00 mask(1) fields       — diff against base.Ego
 //	others: 0xFF actor(61)            — ADD: not present in base
@@ -29,8 +28,9 @@ import (
 //
 // The idx high byte can never be 0xFF (maxWireActors is 1024), so the
 // ADD tag is unambiguous. videoFill is the reconstructed view's
-// synthetic video size; deltaFill is the (smaller) residual actually
-// shipped, appended as zeros like the full-frame fill.
+// synthetic video size; deltaFill is the (smaller) residual the frame
+// puts on the link. Like the full-frame fill, it is counted in the
+// header, not sent: the bridge carries it as the message's virtual pad.
 const (
 	deltaHeaderWireLen = 8 + 8 + 8 + 4 + 4 + 2
 
@@ -52,15 +52,13 @@ var ErrBadWorldViewDelta = errors.New("sensors: malformed world-view delta")
 // receiver lost a frame of the chain and must request a keyframe.
 var ErrDeltaBaseMismatch = errors.New("sensors: delta base mismatch")
 
-// WorldViewWireSize returns len(MarshalWorldView(v)) without
-// marshalling — the sender uses it to fall back to a keyframe when a
-// delta would not beat the full frame.
+// WorldViewWireSize returns the size v's keyframe occupies on the link:
+// len(MarshalWorldView(v)) plus the video fill its header counts, which
+// travels as virtual pad. The sender compares it with a delta's bytes
+// plus its residual fill to fall back to a keyframe when a delta would
+// not beat the full frame.
 func WorldViewWireSize(v WorldView) int {
-	fill := v.VideoFill
-	if fill < 0 {
-		fill = 0
-	}
-	return headerWireLen + actorWireLen*(1+len(v.Others)) + fill
+	return headerWireLen + actorWireLen*(1+len(v.Others)) + max(v.VideoFill, 0)
 }
 
 // MarshalWorldViewDelta serializes v as a diff against base.
@@ -71,23 +69,16 @@ func MarshalWorldViewDelta(base, v WorldView, deltaFill int) []byte {
 // MarshalWorldViewDeltaAppend appends the delta wire form of v relative
 // to base and returns the extended slice; reusing dst across frames
 // keeps the steady-state send path allocation-free. deltaFill is the
-// synthetic video residual to append (zeros). Any base works — an actor
-// absent from base is carried in full — but the output only shrinks
-// when base is the previous tick's view.
+// synthetic video residual the header records (not appended; the sender
+// pads the message by it). Any base works — an actor absent from base
+// is carried in full — but the output only shrinks when base is the
+// previous tick's view.
 func MarshalWorldViewDeltaAppend(dst []byte, base, v WorldView, deltaFill int) []byte {
-	fill := deltaFill
-	if fill < 0 {
-		fill = 0
-	}
-	vfill := v.VideoFill
-	if vfill < 0 {
-		vfill = 0
-	}
 	dst = binary.BigEndian.AppendUint64(dst, base.Frame)
 	dst = binary.BigEndian.AppendUint64(dst, v.Frame)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(v.SimTime))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(vfill))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(fill))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(max(v.VideoFill, 0)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(max(deltaFill, 0)))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(v.Others)))
 	if v.Ego.ID != base.Ego.ID {
 		dst = append(dst, egoTagFull)
@@ -112,9 +103,6 @@ func MarshalWorldViewDeltaAppend(dst []byte, base, v WorldView, deltaFill int) [
 		dst = append(dst, byte(idx>>8), byte(idx))
 		dst = appendActorDiff(dst, base.Others[idx], a)
 	}
-	n := len(dst)
-	dst = slices.Grow(dst, fill)[:n+fill]
-	clear(dst[n:]) // zero-filled synthetic video residual
 	return dst
 }
 
@@ -141,10 +129,6 @@ func ApplyWorldViewDelta(v *WorldView, base WorldView, buf []byte) error {
 	if vfill > maxVideoFill || dfill > maxVideoFill {
 		return fmt.Errorf("%w: video fill %d/%d", ErrBadWorldViewDelta, vfill, dfill)
 	}
-	limit := len(buf) - dfill
-	if limit < deltaHeaderWireLen+1 {
-		return fmt.Errorf("%w: fill %d exceeds buffer", ErrBadWorldViewDelta, dfill)
-	}
 	if baseFrame != base.Frame {
 		return fmt.Errorf("%w: delta base %d, holding %d", ErrDeltaBaseMismatch, baseFrame, base.Frame)
 	}
@@ -154,13 +138,13 @@ func ApplyWorldViewDelta(v *WorldView, base WorldView, buf []byte) error {
 	switch buf[off] {
 	case egoTagFull:
 		off++
-		if off+actorWireLen > limit {
+		if off+actorWireLen > len(buf) {
 			return fmt.Errorf("%w: truncated ego", ErrBadWorldViewDelta)
 		}
 		ego, off = getActor(buf, off)
 	case egoTagDiff:
 		var err error
-		ego, off, err = readActorDiff(buf, off+1, limit, base.Ego)
+		ego, off, err = readActorDiff(buf, off+1, base.Ego)
 		if err != nil {
 			return err
 		}
@@ -170,13 +154,13 @@ func ApplyWorldViewDelta(v *WorldView, base WorldView, buf []byte) error {
 
 	others := v.Others[:0]
 	for i := 0; i < count; i++ {
-		if off >= limit {
+		if off >= len(buf) {
 			return fmt.Errorf("%w: truncated at actor %d", ErrBadWorldViewDelta, i)
 		}
 		tag := buf[off]
 		if tag == deltaTagAdd {
 			off++
-			if off+actorWireLen > limit {
+			if off+actorWireLen > len(buf) {
 				return fmt.Errorf("%w: truncated add at actor %d", ErrBadWorldViewDelta, i)
 			}
 			var a ActorView
@@ -184,22 +168,22 @@ func ApplyWorldViewDelta(v *WorldView, base WorldView, buf []byte) error {
 			others = append(others, a)
 			continue
 		}
-		if off+2 > limit {
+		if off+2 > len(buf) {
 			return fmt.Errorf("%w: truncated ref at actor %d", ErrBadWorldViewDelta, i)
 		}
 		idx := int(tag)<<8 | int(buf[off+1])
 		if idx >= len(base.Others) {
 			return fmt.Errorf("%w: base index %d of %d", ErrBadWorldViewDelta, idx, len(base.Others))
 		}
-		a, noff, err := readActorDiff(buf, off+2, limit, base.Others[idx])
+		a, noff, err := readActorDiff(buf, off+2, base.Others[idx])
 		if err != nil {
 			return err
 		}
 		others = append(others, a)
 		off = noff
 	}
-	if off != limit {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadWorldViewDelta, limit-off)
+	if off != len(buf) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadWorldViewDelta, len(buf)-off)
 	}
 
 	v.Frame = frame
@@ -247,15 +231,15 @@ func appendActorDiff(dst []byte, base, a ActorView) []byte {
 	return dst
 }
 
-func readActorDiff(buf []byte, off, limit int, base ActorView) (ActorView, int, error) {
-	if off >= limit {
+func readActorDiff(buf []byte, off int, base ActorView) (ActorView, int, error) {
+	if off >= len(buf) {
 		return ActorView{}, 0, fmt.Errorf("%w: truncated diff mask", ErrBadWorldViewDelta)
 	}
 	mask := buf[off]
 	off++
 	a := base
 	if mask&1 != 0 {
-		if off >= limit {
+		if off >= len(buf) {
 			return ActorView{}, 0, fmt.Errorf("%w: truncated diff kind", ErrBadWorldViewDelta)
 		}
 		a.Kind = world.ActorKind(buf[off])
@@ -264,7 +248,7 @@ func readActorDiff(buf []byte, off, limit int, base ActorView) (ActorView, int, 
 	fs := actorFloats(base)
 	for i := range fs {
 		if mask&(1<<(i+1)) != 0 {
-			if off+8 > limit {
+			if off+8 > len(buf) {
 				return ActorView{}, 0, fmt.Errorf("%w: truncated diff field", ErrBadWorldViewDelta)
 			}
 			fs[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))

@@ -14,8 +14,8 @@ import (
 func deltaTestActor(id world.ActorID, kind world.ActorKind, x, y float64) ActorView {
 	return ActorView{
 		ID: id, Kind: kind,
-		Pose:   geom.Pose{Pos: geom.V(x, y), Yaw: 0.3},
-		Speed:  12.5, Steer: -0.1,
+		Pose:  geom.Pose{Pos: geom.V(x, y), Yaw: 0.3},
+		Speed: 12.5, Steer: -0.1,
 		Extent: geom.V(2.4, 1.1),
 	}
 }
@@ -143,7 +143,7 @@ func TestDeltaStructuralErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
 		"short":     good[:10],
-		"truncated": good[:len(good)-60],
+		"truncated": good[:len(good)-2], // cuts into the last actor entry
 	}
 	// Corrupt the actor count upward: entries run past the limit.
 	bad := bytes.Clone(good)

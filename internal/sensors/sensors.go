@@ -38,8 +38,9 @@ type WorldView struct {
 	// the wire with this frame. The paper's CARLA streams real images;
 	// what matters for fault injection is that one displayed frame is
 	// MANY network packets, so p% packet loss disturbs far more than p%
-	// of frames (see transport.MTU). The content is irrelevant; the
-	// bytes are zero-filled.
+	// of frames (see transport.MTU). The content is irrelevant, so the
+	// bytes are never built: the size rides in the wire header and on
+	// the link as virtual pad (transport.Endpoint.SendPadded).
 	VideoFill int
 }
 

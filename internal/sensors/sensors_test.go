@@ -168,9 +168,9 @@ func TestMarshalWorldViewAppendMatchesMarshal(t *testing.T) {
 			},
 		},
 		{Frame: 2, Ego: ActorView{ID: 1}, VideoFill: -5}, // negative fill clamps to 0
+		{Frame: 3, Ego: ActorView{ID: 1}, VideoFill: DefaultVideoFrameBytes},
 	}
-	// A dirty reused buffer must not leak into the output: the video
-	// fill region has to be re-zeroed on every append.
+	// A dirty reused buffer must not leak into the output.
 	dirty := make([]byte, 4096)
 	for i := range dirty {
 		dirty[i] = 0xCC
@@ -186,12 +186,19 @@ func TestMarshalWorldViewAppendMatchesMarshal(t *testing.T) {
 		if !reflect.DeepEqual(got[2:], want) {
 			t.Fatalf("append bytes != marshal bytes for %+v", v)
 		}
+		// The video fill is counted in the header, never appended.
+		if n := headerWireLen + actorWireLen*(1+len(v.Others)); len(want) != n {
+			t.Fatalf("marshal of %+v is %d bytes, want header+actors %d", v, len(want), n)
+		}
 		rt, err := UnmarshalWorldView(got[2:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rt.Frame != v.Frame {
 			t.Fatalf("round trip frame = %d, want %d", rt.Frame, v.Frame)
+		}
+		if rt.VideoFill != max(v.VideoFill, 0) {
+			t.Fatalf("round trip video fill = %d, want %d", rt.VideoFill, max(v.VideoFill, 0))
 		}
 	}
 }

@@ -45,7 +45,7 @@ type Stats struct {
 	FragmentsSent  uint64 // MTU-sized packets produced by fragmentation
 	MsgsDelivered  uint64 // in-order deliveries to the application
 	Retransmits    uint64
-	CorruptDropped uint64 // frames that failed CRC/decoding
+	CorruptDropped uint64 // frames that failed CRC/decoding or were corrupted in their pad
 	DuplicateDrops uint64 // already-delivered data frames
 	OutOfOrderHeld uint64 // frames buffered waiting for a gap to fill
 	AcksSent       uint64
@@ -141,9 +141,17 @@ type Endpoint struct {
 	// within Send); asmBuf is the reassembly buffer every delivery
 	// shares, which the delivery contract (Options.Pools) permits.
 	pools       *Pools
-	wireBuf     []byte   // EncodeFrameAppend scratch for transmit/sendAck
-	fragScratch [][]byte // fragmentize output slice, reused across Sends
-	asmBuf      []byte   // reassembly scratch
+	wireBuf     []byte     // EncodeFrameAppend scratch for transmit/sendAck
+	fragScratch []fragment // fragmentize output slice, reused across Sends
+	asmBuf      []byte     // reassembly scratch
+}
+
+// fragment is one MTU-sized piece of a message: buf holds the fragment
+// header and the piece's real bytes, pad counts the virtual bytes that
+// follow them on the link (netem.Packet.Pad).
+type fragment struct {
+	buf []byte
+	pad int
 }
 
 type partialMsg struct {
@@ -155,6 +163,7 @@ type partialMsg struct {
 type segment struct {
 	seq     uint64
 	payload []byte
+	pad     int // virtual tail resent with payload on every retransmit
 	sentAt  time.Duration
 	rtx     bool // retransmitted at least once (Karn's rule)
 }
@@ -213,23 +222,24 @@ func (e *Endpoint) sendWindow() int {
 // Congestion mode).
 func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 
-// fragmentize splits a message into MTU-sized chunks, each prefixed with
-// the fragment header: flags(1) msgID(4) fragIdx(2) fragCount(2). The
-// returned slice is the endpoint's reused scratch, valid until the next
-// Send; the fragment buffers come from the pool when one is attached.
-func (e *Endpoint) fragmentize(msgID uint32, payload []byte) [][]byte {
-	n := (len(payload) + MTU - 1) / MTU
+// fragmentize splits a message of len(payload)+pad bytes, whose last pad
+// bytes are virtual, into MTU-sized pieces, each prefixed with the
+// fragment header: flags(1) msgID(4) fragIdx(2) fragCount(2). A piece
+// keeps the real bytes it covers and counts the virtual rest as its pad,
+// so the fragments are as many and as large on the link as a
+// materialized payload's. The returned slice is the endpoint's reused
+// scratch, valid until the next Send; the fragment buffers come from the
+// pool.
+func (e *Endpoint) fragmentize(msgID uint32, payload []byte, pad int) []fragment {
+	total := len(payload) + pad
+	n := (total + MTU - 1) / MTU
 	if n == 0 {
 		n = 1
 	}
 	out := e.fragScratch[:0]
 	for i := 0; i < n; i++ {
-		lo := i * MTU
-		hi := lo + MTU
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		chunk := payload[lo:hi]
+		lo, hi := i*MTU, min(i*MTU+MTU, total)
+		chunk := payload[min(lo, len(payload)):min(hi, len(payload))]
 		buf := e.pools.buf(fragHeaderLen + len(chunk))
 		if i == n-1 {
 			buf[0] = fragFlagLast
@@ -245,7 +255,7 @@ func (e *Endpoint) fragmentize(msgID uint32, payload []byte) [][]byte {
 		buf[7] = byte(n >> 8)
 		buf[8] = byte(n)
 		copy(buf[fragHeaderLen:], chunk)
-		out = append(out, buf)
+		out = append(out, fragment{buf: buf, pad: hi - lo - len(chunk)})
 	}
 	e.fragScratch = out
 	return out
@@ -295,33 +305,43 @@ func (e *Endpoint) Stats() Stats {
 // InFlight returns the number of unacknowledged messages.
 func (e *Endpoint) InFlight() int { return len(e.unacked) }
 
-// Send transmits one application message to the peer, fragmenting it
-// into MTU-sized packets. In reliable mode it returns ErrWindowFull when
-// the message's fragments do not fit in the unacknowledged window; in
-// datagram mode it never fails (fragments may silently be lost, losing
-// the whole message).
-func (e *Endpoint) Send(payload []byte) error {
+// Send transmits one application message to the peer; it is
+// SendPadded(payload, 0).
+func (e *Endpoint) Send(payload []byte) error { return e.SendPadded(payload, 0) }
+
+// SendPadded transmits one application message of len(payload)+pad
+// bytes to the peer, fragmenting it into MTU-sized packets. The last pad
+// bytes are virtual: they occupy the link like real bytes (fragment
+// count, loss exposure, serialization time) but are never materialized,
+// and the peer's handler receives only payload. In reliable mode it
+// returns ErrWindowFull when the message's fragments do not fit in the
+// unacknowledged window; in datagram mode it never fails (fragments may
+// silently be lost, losing the whole message).
+func (e *Endpoint) SendPadded(payload []byte, pad int) error {
 	if e.out == nil {
 		return fmt.Errorf("transport: %s: no link attached", e.opts.Name)
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload))
+	if pad < 0 {
+		return fmt.Errorf("transport: %s: negative pad %d", e.opts.Name, pad)
+	}
+	if len(payload)+pad > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload)+pad)
 	}
 	now := e.clock.Now()
 	e.nextMsgID++
-	frags := e.fragmentize(e.nextMsgID, payload)
+	frags := e.fragmentize(e.nextMsgID, payload, pad)
 
 	if !e.opts.Reliable {
 		for _, frag := range frags {
-			wire, err := EncodeFrameAppend(e.wireBuf[:0], Frame{Type: FrameDatagram, Seq: e.nextSeq, Timestamp: now, Payload: frag})
+			wire, err := EncodeFrameAppend(e.wireBuf[:0], Frame{Type: FrameDatagram, Seq: e.nextSeq, Timestamp: now, Payload: frag.buf})
 			if err != nil {
 				return err
 			}
 			e.wireBuf = wire
 			e.nextSeq++
 			e.stats.FragmentsSent++
-			e.out.Send(wire) // netem clones; wire and frag are free again
-			e.recycleBuf(frag)
+			e.out.SendPadded(wire, frag.pad) // netem clones; wire and frag are free again
+			e.recycleBuf(frag.buf)
 		}
 		e.stats.MsgsSent++
 		return nil
@@ -344,7 +364,7 @@ func (e *Endpoint) Send(payload []byte) error {
 	}
 	for _, frag := range frags {
 		seg := e.pools.seg()
-		seg.seq, seg.payload, seg.sentAt = e.nextSeq, frag, now
+		seg.seq, seg.payload, seg.pad, seg.sentAt = e.nextSeq, frag.buf, frag.pad, now
 		e.nextSeq++
 		e.unacked = append(e.unacked, seg)
 		e.stats.FragmentsSent++
@@ -358,9 +378,9 @@ func (e *Endpoint) Send(payload []byte) error {
 }
 
 // recycleFrags returns a window-rejected message's fragments to the pool.
-func (e *Endpoint) recycleFrags(frags [][]byte) {
+func (e *Endpoint) recycleFrags(frags []fragment) {
 	for _, frag := range frags {
-		e.pools.putBuf(frag)
+		e.pools.putBuf(frag.buf)
 	}
 }
 
@@ -372,12 +392,19 @@ func (e *Endpoint) transmit(seg *segment, now time.Duration) {
 		panic(fmt.Sprintf("transport: %s: encode: %v", e.opts.Name, err))
 	}
 	e.wireBuf = wire
-	e.out.Send(wire)
+	e.out.SendPadded(wire, seg.pad)
 }
 
 // HandlePacket is the netem receiver for the endpoint's ingress link:
 // wire it as the peer link's delivery callback.
 func (e *Endpoint) HandlePacket(pkt netem.Packet) {
+	if pkt.PadCorrupted {
+		// The CRC covers only the real bytes, so a bit flipped in the
+		// virtual pad is dropped here — as the CRC drops a flip anywhere
+		// in a materialized frame.
+		e.stats.CorruptDropped++
+		return
+	}
 	f, err := DecodeFrame(pkt.Payload)
 	if err != nil {
 		// Corrupt frames are indistinguishable from loss, as on a real
@@ -433,7 +460,9 @@ func (e *Endpoint) handleDatagram(f Frame) {
 }
 
 // acceptFragment feeds one received fragment into the reassembler and
-// delivers the message once every fragment is present. The delivered
+// delivers the message once every fragment is present. Fragments carry
+// only real bytes (a pad-only fragment's chunk is empty), so the
+// reassembled message is the sender's payload without its pad. The delivered
 // latency spans from the earliest fragment's send time — so a frame
 // delayed by a retransmitted fragment carries the whole stall.
 func (e *Endpoint) acceptFragment(buf []byte, ts, now time.Duration) {

@@ -3,7 +3,7 @@ package transport
 import "teledrive/internal/netem"
 
 // fragBufCap is the capacity of a pooled fragment buffer: one MTU-sized
-// chunk plus its fragment header. Every buffer the endpoint clones —
+// chunk of real bytes plus its fragment header. Every buffer the endpoint clones —
 // outgoing fragments, held out-of-order frames, reassembly chunks — fits
 // in one.
 const fragBufCap = fragHeaderLen + MTU
