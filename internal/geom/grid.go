@@ -9,11 +9,13 @@ import "math"
 //
 // The index is an accelerator, never an oracle: queries evaluate
 // candidate segments with the exact same float operations as the linear
-// reference scan (Path.projectSeg) and only skip cells whose
-// lower-bound distance strictly exceeds the best distance found so far.
+// reference scan (the candidate step Path.segDistSq, and the finisher
+// Path.projFinish for the winner) and only skip cells whose squared
+// lower-bound distance strictly exceeds the best squared distance found
+// so far.
 // A skipped segment therefore cannot win — or even tie — the
 // min-distance comparison, which is why the indexed result is
-// bit-identical to the linear scan (see DESIGN.md §7 and the
+// bit-identical to the linear scan (see DESIGN.md §8 and the
 // equivalence tests in path_test.go).
 type segGrid struct {
 	originX, originY float64
@@ -24,7 +26,7 @@ type segGrid struct {
 	// indices registered in cell c, with c = iy*nx + ix. Segments are
 	// registered in every cell they pass through (conservative x-slab
 	// rasterization), so duplicates across cells are expected; queries
-	// tolerate re-evaluating a segment because projectSeg is pure.
+	// tolerate re-evaluating a segment because segDistSq is pure.
 	start []int32
 	items []int32
 }
@@ -153,19 +155,20 @@ func clampCell(v float64, n int) int {
 	return int(v)
 }
 
-// ringLowerBound returns a lower bound on the distance from q to any
-// unscanned cell — a cell at Chebyshev ring r or beyond around
+// ringLowerBoundSq returns a lower bound on the squared distance from q
+// to any unscanned cell — a cell at Chebyshev ring r or beyond around
 // (cx, cy). Every registered segment lies inside the union of its
 // cells, and every unscanned cell lies inside the grid's bounding box
 // but outside the box covering rings 0..r-1, so the distance from q to
 // that difference region bounds every segment not yet considered. The
 // region is at most four axis-aligned slabs (the parts of the grid box
 // left/right/below/above the scanned box), each an exact point-to-AABB
-// distance. +Inf when the rings already cover the whole grid; this
-// formulation also prunes for queries *outside* the grid box, where a
-// bound against the scanned box alone would stay zero forever and the
-// search would degenerate to visiting every cell.
-func (g *segGrid) ringLowerBound(q Vec2, cx, cy, r int) float64 {
+// squared distance, so the bound needs no Sqrt. +Inf when the rings
+// already cover the whole grid; this formulation also prunes for
+// queries *outside* the grid box, where a bound against the scanned box
+// alone would stay zero forever and the search would degenerate to
+// visiting every cell.
+func (g *segGrid) ringLowerBoundSq(q Vec2, cx, cy, r int) float64 {
 	if r == 0 {
 		return 0
 	}
@@ -177,26 +180,28 @@ func (g *segGrid) ringLowerBound(q Vec2, cx, cy, r int) float64 {
 	by1 := g.originY + float64(cy+r)*g.cell
 	best := math.Inf(1)
 	if bx0 > g.originX { // slab left of the scanned box
-		best = math.Min(best, rectDist(q, g.originX, g.originY, bx0, gy1))
+		best = min(best, rectDistSq(q, g.originX, g.originY, bx0, gy1))
 	}
 	if bx1 < gx1 { // slab right of the scanned box
-		best = math.Min(best, rectDist(q, bx1, g.originY, gx1, gy1))
+		best = min(best, rectDistSq(q, bx1, g.originY, gx1, gy1))
 	}
 	if by0 > g.originY { // strip below
-		best = math.Min(best, rectDist(q, g.originX, g.originY, gx1, by0))
+		best = min(best, rectDistSq(q, g.originX, g.originY, gx1, by0))
 	}
 	if by1 < gy1 { // strip above
-		best = math.Min(best, rectDist(q, g.originX, by1, gx1, gy1))
+		best = min(best, rectDistSq(q, g.originX, by1, gx1, gy1))
 	}
 	return best
 }
 
-// rectDist is the Euclidean distance from q to the axis-aligned
-// rectangle [x0,x1]×[y0,y1]; zero inside. NaN coordinates propagate to
-// a NaN result, which the caller's strict > comparison treats as "no
-// bound" — NaN queries scan everything, exactly like the linear path.
-func rectDist(q Vec2, x0, y0, x1, y1 float64) float64 {
-	dx := math.Max(0, math.Max(x0-q.X, q.X-x1))
-	dy := math.Max(0, math.Max(y0-q.Y, q.Y-y1))
-	return math.Sqrt(dx*dx + dy*dy)
+// rectDistSq is the squared Euclidean distance from q to the
+// axis-aligned rectangle [x0,x1]×[y0,y1]; zero inside. NaN coordinates
+// propagate to a NaN result (the builtin min and max, like math.Min and
+// math.Max, return NaN for any NaN operand, but compile inline), which
+// the caller's strict > comparison treats as "no bound" — NaN queries
+// scan everything, exactly like the linear path.
+func rectDistSq(q Vec2, x0, y0, x1, y1 float64) float64 {
+	dx := max(0, x0-q.X, q.X-x1)
+	dy := max(0, y0-q.Y, q.Y-y1)
+	return dx*dx + dy*dy
 }

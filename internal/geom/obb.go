@@ -97,5 +97,5 @@ func (a AABB) Expand(m float64) AABB {
 
 // Dist returns the Euclidean distance from q to the box; zero inside.
 func (a AABB) Dist(q Vec2) float64 {
-	return rectDist(q, a.Min.X, a.Min.Y, a.Max.X, a.Max.Y)
+	return math.Sqrt(rectDistSq(q, a.Min.X, a.Min.Y, a.Max.X, a.Max.Y))
 }

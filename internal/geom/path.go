@@ -155,25 +155,20 @@ func (p *Path) Project(q Vec2) (station, lateral float64) {
 	return station, lateral
 }
 
-// projectSeg computes the squared distance from q to segment i along
-// with the projection's station and signed lateral offset. Both the
-// linear reference scan and the grid-indexed search funnel their
-// comparisons through this one helper, so the two code paths execute
-// the same float operations on the winning segment — the foundation of
-// the bit-identity the equivalence tests assert.
-func (p *Path) projectSeg(i int, q Vec2) (d, station, lateral float64) {
+// segDistSq is the per-candidate step of every projection query: the
+// squared distance from q to segment i and the clamped parameter t of
+// the closest point. Both the linear reference scan and the grid-indexed
+// search compare candidates through this one helper, and both turn the
+// winner into (station, lateral) through the one finisher projFinish, so
+// the two code paths execute the same float operations on the winning
+// segment — the foundation of the bit-identity the equivalence tests
+// assert. Nothing a loser would need (a Hypot, a Sqrt, a cross product)
+// is computed per candidate.
+func (p *Path) segDistSq(i int, q Vec2) (d, t float64) {
 	a, b := p.pts[i], p.pts[i+1]
 	ab := b.Sub(a)
-	t := Clamp(q.Sub(a).Dot(ab)/ab.LenSq(), 0, 1)
-	c := a.Add(ab.Scale(t))
-	d = q.DistSq(c)
-	station = p.cum[i] + ab.Len()*t
-	// Positive lateral when q is to the left of the segment direction.
-	lateral = math.Sqrt(d)
-	if ab.Cross(q.Sub(a)) < 0 {
-		lateral = -lateral
-	}
-	return d, station, lateral
+	t = Clamp(q.Sub(a).Dot(ab)/ab.LenSq(), 0, 1)
+	return q.DistSq(a.Add(ab.Scale(t))), t
 }
 
 // projState accumulates the running minimum of a projection query. The
@@ -183,19 +178,36 @@ func (p *Path) projectSeg(i int, q Vec2) (d, station, lateral float64) {
 type projState struct {
 	bestD   float64
 	bestIdx int
-	station float64
-	lateral float64
+	bestT   float64
 }
 
 // considerSeg folds segment i into the running minimum.
 func (p *Path) considerSeg(st *projState, i int, q Vec2) {
-	d, s, lat := p.projectSeg(i, q)
+	d, t := p.segDistSq(i, q)
 	if d < st.bestD || (d == st.bestD && i < st.bestIdx) { //lint:allow floateq exact tie-break on equal squared distance: the lower segment index must win, matching the linear scan's first-minimum rule bit for bit
 		st.bestD = d
 		st.bestIdx = i
-		st.station = s
-		st.lateral = lat
+		st.bestT = t
 	}
+}
+
+// projFinish turns the winner of a query into its station and signed
+// lateral offset (positive when q is left of the segment direction).
+// It runs once per query, for the winning segment only. With no winner
+// (NaN inputs: no comparison succeeds) it returns idx -1 and zeros.
+func (p *Path) projFinish(st *projState, q Vec2) (idx int, station, lateral float64) {
+	i := st.bestIdx
+	if i < 0 {
+		return -1, 0, 0
+	}
+	a, b := p.pts[i], p.pts[i+1]
+	ab := b.Sub(a)
+	station = p.cum[i] + ab.Len()*st.bestT
+	lateral = math.Sqrt(st.bestD)
+	if ab.Cross(q.Sub(a)) < 0 {
+		lateral = -lateral
+	}
+	return i, station, lateral
 }
 
 // projectLinear is the reference full scan. It is the semantic ground
@@ -206,7 +218,7 @@ func (p *Path) projectLinear(q Vec2) (idx int, station, lateral float64) {
 	for i := 0; i < len(p.pts)-1; i++ {
 		p.considerSeg(&st, i, q)
 	}
-	return st.bestIdx, st.station, st.lateral
+	return p.projFinish(&st, q)
 }
 
 // projectIdx answers a projection query, optionally seeded with a hint
@@ -228,20 +240,17 @@ func (p *Path) projectIdx(q Vec2, hint int) (idx int, station, lateral float64) 
 	cy := g.cellY(q.Y)
 	maxR := max(max(cx, g.nx-1-cx), max(cy, g.ny-1-cy))
 	for r := 0; r <= maxR; r++ {
-		if st.bestIdx >= 0 {
-			lb := g.ringLowerBound(q, cx, cy, r)
-			// Cells at ring >= r are at least lb away; when even that
-			// lower bound is strictly beyond the best distance, no
-			// remaining segment can win or tie. <= keeps scanning on
-			// exact equality so a tying segment with a lower index is
-			// still found.
-			if lb*lb > st.bestD {
-				break
-			}
+		// Cells at ring >= r are at least sqrt(lb) away; when even that
+		// squared lower bound is strictly beyond the best squared
+		// distance, no remaining segment can win or tie. <= keeps
+		// scanning on exact equality so a tying segment with a lower
+		// index is still found, and a NaN bound prunes nothing.
+		if st.bestIdx >= 0 && g.ringLowerBoundSq(q, cx, cy, r) > st.bestD {
+			break
 		}
 		p.scanRing(&st, q, cx, cy, r)
 	}
-	return st.bestIdx, st.station, st.lateral
+	return p.projFinish(&st, q)
 }
 
 // scanRing evaluates every segment registered in the cells of Chebyshev
@@ -273,7 +282,7 @@ func (p *Path) scanRing(st *projState, q Vec2, cx, cy, r int) {
 }
 
 // scanCell evaluates the segments registered in one cell. A segment
-// spanning several cells is re-evaluated harmlessly: projectSeg is pure
+// spanning several cells is re-evaluated harmlessly: segDistSq is pure
 // and the tie-break ignores an index it has already chosen.
 func (p *Path) scanCell(st *projState, q Vec2, ix, iy int) {
 	g := p.grid

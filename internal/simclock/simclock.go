@@ -12,7 +12,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -48,7 +47,6 @@ func (c *Clock) Now() time.Duration {
 // and ScheduleAt and can be used to cancel the callback before it fires.
 type Timer struct {
 	at      time.Duration
-	seq     uint64
 	fn      func(now time.Duration)
 	task    TimerTask // pooled no-handle callback; fn takes precedence
 	index   int       // heap index; -1 once fired or cancelled
@@ -97,9 +95,8 @@ func (c *Clock) ScheduleAt(at time.Duration, fn func(now time.Duration)) *Timer 
 	if at < c.now {
 		at = c.now
 	}
-	t := &Timer{at: at, seq: c.seq, fn: fn}
-	c.seq++
-	heap.Push(&c.queue, t)
+	t := &Timer{at: at, fn: fn}
+	c.push(t)
 	return t
 }
 
@@ -131,12 +128,11 @@ func (c *Clock) ScheduleTaskAt(at time.Duration, task TimerTask) {
 	if n := len(c.free); n > 0 {
 		t = c.free[n-1]
 		c.free = c.free[:n-1]
-		*t = Timer{at: at, seq: c.seq, task: task, pooled: true}
+		*t = Timer{at: at, task: task, pooled: true}
 	} else {
-		t = &Timer{at: at, seq: c.seq, task: task, pooled: true}
+		t = &Timer{at: at, task: task, pooled: true}
 	}
-	c.seq++
-	heap.Push(&c.queue, t)
+	c.push(t)
 }
 
 // NewTimer returns an unscheduled timer bound to fn, for callers that
@@ -176,10 +172,16 @@ func (c *Clock) RescheduleAt(t *Timer, at time.Duration) {
 		at = c.now
 	}
 	t.at = at
-	t.seq = c.seq
 	t.stopped = false
+	c.push(t)
+}
+
+// push enqueues t at t.at under the next sequence number. Every
+// scheduling call consumes exactly one, which is what makes
+// same-instant callbacks fire in scheduling order.
+func (c *Clock) push(t *Timer) {
+	c.queue.push(timerEntry{at: t.at, seq: c.seq, t: t})
 	c.seq++
-	heap.Push(&c.queue, t)
 }
 
 // Cancel removes the timer from the queue. Cancelling an already-fired or
@@ -189,20 +191,20 @@ func (c *Clock) Cancel(t *Timer) bool {
 	if t == nil || t.index < 0 {
 		return false
 	}
-	heap.Remove(&c.queue, t.index)
+	c.queue.remove(t.index)
 	t.stopped = true
 	return true
 }
 
 // PendingTimers returns the number of timers waiting to fire.
 func (c *Clock) PendingTimers() int {
-	return c.queue.Len()
+	return len(c.queue)
 }
 
 // NextAt returns the firing time of the earliest pending timer. The second
 // return value is false when no timers are pending.
 func (c *Clock) NextAt() (time.Duration, bool) {
-	if c.queue.Len() == 0 {
+	if len(c.queue) == 0 {
 		return 0, false
 	}
 	return c.queue[0].at, true
@@ -225,8 +227,8 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: AdvanceTo(%v) before current time %v", t, c.now))
 	}
-	for c.queue.Len() > 0 && c.queue[0].at <= t {
-		c.fire(heap.Pop(&c.queue).(*Timer))
+	for len(c.queue) > 0 && c.queue[0].at <= t {
+		c.fire(c.queue.pop())
 	}
 	c.now = t
 }
@@ -252,10 +254,10 @@ func (c *Clock) fire(tm *Timer) {
 // deadline. It reports whether a timer fired; when no timers are pending
 // the clock is unchanged and Step returns false.
 func (c *Clock) Step() bool {
-	if c.queue.Len() == 0 {
+	if len(c.queue) == 0 {
 		return false
 	}
-	c.fire(heap.Pop(&c.queue).(*Timer))
+	c.fire(c.queue.pop())
 	return true
 }
 
@@ -273,36 +275,97 @@ func (c *Clock) Run(limit int) int {
 	return fired
 }
 
-// timerQueue is a min-heap ordered by (at, seq).
-type timerQueue []*Timer
+// timerQueue is a 4-ary min-heap ordered by (at, seq). Each entry
+// carries its keys inline, so a comparison reads only the slice and
+// never dereferences a *Timer; the Timer is touched only to keep its
+// index current for Cancel and Stopped. Because seq is unique, (at, seq)
+// is a strict total order: any correct min-queue pops the same sequence,
+// so the heap's arity and sift details cannot change the fire order.
+type timerQueue []timerEntry
 
-func (q timerQueue) Len() int { return len(q) }
+type timerEntry struct {
+	at  time.Duration
+	seq uint64
+	t   *Timer
+}
 
-func (q timerQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e *timerEntry) less(o *timerEntry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// push appends e and restores the heap order.
+func (q *timerQueue) push(e timerEntry) {
+	*q = append(*q, e)
+	q.siftUp(len(*q) - 1)
+}
+
+// pop removes and returns the earliest timer.
+func (q *timerQueue) pop() *Timer {
+	return q.remove(0)
+}
+
+// remove deletes the entry at heap index i and returns its timer. The
+// last entry moves into slot i and is re-sifted: down when a child is
+// smaller, otherwise up, since an entry from another subtree can be
+// smaller than slot i's parent.
+func (q *timerQueue) remove(i int) *Timer {
+	h := *q
+	t := h[i].t
+	n := len(h) - 1
+	if i != n {
+		h[i] = h[n]
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q timerQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *timerQueue) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*q)
-	*q = append(*q, t)
-}
-
-func (q *timerQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	h[n] = timerEntry{}
+	*q = h[:n]
+	if i != n && !q.siftDown(i) {
+		q.siftUp(i)
+	}
 	t.index = -1
-	*q = old[:n-1]
 	return t
+}
+
+// siftUp moves the entry at i toward the root until its parent is
+// smaller.
+func (q timerQueue) siftUp(i int) {
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.less(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].t.index = i
+		i = p
+	}
+	q[i] = e
+	e.t.index = i
+}
+
+// siftDown moves the entry at i0 toward the leaves until no child is
+// smaller, and reports whether it moved.
+func (q timerQueue) siftDown(i0 int) bool {
+	n := len(q)
+	e := q[i0]
+	i := i0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if q[j].less(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].less(&e) {
+			break
+		}
+		q[i] = q[m]
+		q[i].t.index = i
+		i = m
+	}
+	q[i] = e
+	e.t.index = i
+	return i > i0
 }

@@ -15,6 +15,7 @@ import (
 	"teledrive/internal/rds"
 	"teledrive/internal/scenario"
 	"teledrive/internal/sensors"
+	"teledrive/internal/session"
 	"teledrive/internal/simclock"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/telemetry/obs"
@@ -238,6 +239,31 @@ func BenchmarkFullScenarioRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out, err := rds.Run(rds.BenchConfig{
 			Scenario: scenario.LaneChangeSlalom(), Profile: prof, Seed: int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.Completed {
+			b.Fatal("run did not complete")
+		}
+	}
+}
+
+// BenchmarkFullScenarioRunPooled is BenchmarkFullScenarioRun the way a
+// campaign worker runs it: one run arena and one artifact cache reused
+// across iterations, so the trace log, the world slab and the transport
+// pools stay warm and the route is built once. BenchmarkFullScenarioRun
+// stays arena-less so its history remains comparable.
+func BenchmarkFullScenarioRunPooled(b *testing.B) {
+	prof, _ := driver.SubjectByName("T5")
+	scratch := session.NewRunScratch()
+	arts := scenario.NewArtifactCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := rds.Run(rds.BenchConfig{
+			Scenario: scenario.LaneChangeSlalom(), Profile: prof, Seed: int64(i),
+			Scratch: scratch, Artifacts: arts,
 		})
 		if err != nil {
 			b.Fatal(err)
