@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race race-dist race-hub race-search fuzz check ci bench fingerprint fingerprint-pooled fingerprint-hub fingerprint-update
+.PHONY: build test vet lint lint-json race race-dist race-hub race-search claims fuzz check ci bench fingerprint fingerprint-update
 
 # Tier-1 verification: everything must build, vet clean, lint clean,
 # and pass.
@@ -72,6 +72,13 @@ race-search:
 	cmp $$tmp/a.txt $$tmp/b.txt && echo "race-search: same-seed reports byte-identical across worker counts"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
+# Paper claims across seeds: TestPaperClaims (tier-1, seed 4) plus the
+# seed-independent claims (E6 crash pattern, E5 direction, E4 FI > NFI)
+# re-checked on the paper campaigns of seeds 1–3. The `claims` build tag
+# only adds claims_seeds_test.go. Runs in CI after race-search.
+claims:
+	$(GO) test -tags claims -count=1 -run '^TestPaperClaims' .
+
 # Short fuzz passes over the hostile-input surfaces: the lint
 # suppression parser (runs over every comment in the repo on each
 # `make lint`), the world-view decoder, the transport framing and its
@@ -95,47 +102,31 @@ fuzz:
 check: build vet lint race fuzz
 
 # One-command CI gate: build + vet + lint + race + race-hub +
-# race-search + fingerprint + fingerprint-pooled + fingerprint-hub, in
-# order, stopping at the first failure (scripts/ci.sh). Fuzz and the
+# race-search + claims + fingerprint, in order, stopping at the first
+# failure (scripts/ci.sh). Fuzz and the
 # full distributed battery are the slower `check`/`race-dist` add-ons.
 ci:
 	./scripts/ci.sh
 
-# Machine-readable benchmark run: every benchmark (substrate
-# microbenches, table/figure reproductions, ablations), five interleaved
-# repetitions, reduced to per-metric medians in $(BENCHOUT) by
-# cmd/benchjson. The raw `go test -bench` text streams to stderr so the
-# run stays observable. The expensive paper campaign behind the table
-# benches runs once per invocation (sync.Once), so -count=5 only
-# repeats the cheap measurement loops.
+# Every root benchmark (substrate microbenches, table/figure
+# reproductions, ablations), five repetitions, as plain `go test -bench`
+# text. The expensive paper campaign behind the table benches runs once
+# per invocation (sync.Once), so -count=5 only repeats the cheap
+# measurement loops. Host-stamped BENCH_PR*.json records come from
+# perfbench (bash perfbench/run.sh).
 BENCHCOUNT ?= 5
-BENCHOUT ?= BENCH_PR10.json
 bench:
-	$(GO) test -run='^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+	$(GO) test -run='^$$' -bench . -benchmem -count $(BENCHCOUNT) .
 
 # Refactor safety net: drive every canonical cell and diff its SHA-256
 # trace fingerprint against the golden set recorded before the
 # session-layer extraction (internal/session/testdata). `fingerprint`
 # fails on any divergence; `fingerprint-update` rewrites the goldens —
-# only after a change that is MEANT to alter trajectories.
+# only after a change that is MEANT to alter trajectories. Arena reuse
+# and multi-tenant hosting are pinned to the same goldens by tier-1
+# tests (TestHubSessionsBitIdentical, TestRefactorEquivalence).
 fingerprint:
 	$(GO) run ./cmd/fingerprint
-
-# Arena-reuse safety net: every canonical cell runs TWICE through one
-# shared session.RunScratch + scenario.ArtifactCache, and both passes
-# must match the goldens recorded before pooling existed. The first
-# pass fills the arena; the second proves recycled buffers, timers,
-# world slabs, and cached artifacts are bit-identical to fresh
-# allocation.
-fingerprint-pooled:
-	$(GO) run ./cmd/fingerprint -pooled
-
-# Tenancy safety net: every canonical cell runs concurrently as one
-# session of a single hub (hub.RunMany), and each session's fingerprint
-# must match the goldens — hosting many sessions in one process changes
-# no trajectory.
-fingerprint-hub:
-	$(GO) run ./cmd/fingerprint -hub
 
 fingerprint-update:
 	$(GO) run ./cmd/fingerprint -update

@@ -4,16 +4,15 @@
 //
 //	go test -bench=. -benchmem
 //
-// Set TELEDRIVE_BENCH_PRINT=1 to additionally print the rendered tables
-// once. Key result numbers are attached to each benchmark via
-// b.ReportMetric, so `go test -bench` output doubles as the
-// paper-vs-measured record (see EXPERIMENTS.md).
+// Key result numbers are attached to each benchmark via b.ReportMetric,
+// so `go test -bench` output doubles as the paper-vs-measured record
+// (see EXPERIMENTS.md); `go run ./cmd/campaign` prints the rendered
+// tables. TestPaperClaims (claims_test.go) gates the same results.
 package teledrive_test
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -31,16 +30,17 @@ import (
 	"teledrive/internal/validity"
 )
 
-// The shared campaign: every table bench reads the same run, so the
-// expensive simulation happens once per `go test -bench` invocation.
+// The shared seed-4 campaign: every table bench and TestPaperClaims
+// read the same run, so the expensive simulation happens once per
+// `go test` invocation.
 var (
 	campaignOnce sync.Once
 	campaignRes  *campaign.Result
 	campaignErr  error
 )
 
-func sharedCampaign(b *testing.B) *campaign.Result {
-	b.Helper()
+func sharedCampaign(tb testing.TB) *campaign.Result {
+	tb.Helper()
 	campaignOnce.Do(func() {
 		campaignRes, campaignErr = campaign.Run(campaign.Config{
 			Seed:                 4,
@@ -49,22 +49,15 @@ func sharedCampaign(b *testing.B) *campaign.Result {
 		})
 	})
 	if campaignErr != nil {
-		b.Fatal(campaignErr)
+		tb.Fatal(campaignErr)
 	}
 	return campaignRes
-}
-
-func tableSink() io.Writer {
-	if os.Getenv("TELEDRIVE_BENCH_PRINT") != "" {
-		return os.Stdout
-	}
-	return io.Discard
 }
 
 // BenchmarkTableI renders the driving-station specification (E1).
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report.WriteTableI(tableSink(), rds.PaperStation())
+		report.WriteTableI(io.Discard, rds.PaperStation())
 	}
 }
 
@@ -77,7 +70,7 @@ func BenchmarkTableII(b *testing.B) {
 	var t2 campaign.TableII
 	for i := 0; i < b.N; i++ {
 		t2 = res.BuildTableII()
-		report.WriteTableII(tableSink(), t2)
+		report.WriteTableII(io.Discard, t2)
 	}
 	b.ReportMetric(float64(t2.Total), "faults_total")
 	b.ReportMetric(float64(t2.Totals[faultinject.CondDelay50]), "faults_50ms")
@@ -93,9 +86,8 @@ func BenchmarkTableIII(b *testing.B) {
 	var t3 campaign.TableIII
 	for i := 0; i < b.N; i++ {
 		t3 = res.BuildTableIII()
-		report.WriteTableIII(tableSink(), t3)
+		report.WriteTableIII(io.Discard, t3)
 	}
-	report.WriteTableIII(tableSink(), t3)
 	var nfiMin, faultMin float64
 	var nfiN, faultN int
 	for _, row := range t3.Rows {
@@ -131,7 +123,7 @@ func BenchmarkTableIV(b *testing.B) {
 	var t4 campaign.TableIV
 	for i := 0; i < b.N; i++ {
 		t4 = res.BuildTableIV()
-		report.WriteTableIV(tableSink(), t4)
+		report.WriteTableIV(io.Discard, t4)
 	}
 	for key, metric := range map[string]string{
 		"NFI": "srr_nfi", "FI": "srr_fi", "5ms": "srr_5ms", "25ms": "srr_25ms",
@@ -155,7 +147,7 @@ func BenchmarkFig4(b *testing.B) {
 		if !ok {
 			b.Fatal("Fig4 data missing")
 		}
-		report.WriteFig4(tableSink(), fig)
+		report.WriteFig4(io.Discard, fig)
 	}
 	if fig.GoldenOK {
 		b.ReportMetric(fig.GoldenTime.Seconds(), "task_golden_s")
@@ -174,7 +166,7 @@ func BenchmarkCollisionAnalysis(b *testing.B) {
 	var col campaign.CollisionAnalysis
 	for i := 0; i < b.N; i++ {
 		col = res.BuildCollisionAnalysis()
-		report.WriteCollisionAnalysis(tableSink(), col)
+		report.WriteCollisionAnalysis(io.Discard, col)
 	}
 	b.ReportMetric(float64(col.GoldenCollided), "golden_collided")
 	b.ReportMetric(float64(col.FaultyCollided), "faulty_collided")
@@ -192,7 +184,7 @@ func BenchmarkQuestionnaire(b *testing.B) {
 	var s questionnaire.Summary
 	for i := 0; i < b.N; i++ {
 		s = questionnaire.Summarize(res)
-		report.WriteQuestionnaire(tableSink(), s)
+		report.WriteQuestionnaire(io.Discard, s)
 	}
 	b.ReportMetric(float64(s.Gaming), "gaming")
 	b.ReportMetric(float64(s.RacingGames), "racing")
@@ -207,39 +199,52 @@ func BenchmarkQuestionnaire(b *testing.B) {
 // simulator and ≈20–100 ms for the model vehicle — and the loss grade
 // ordering.
 func BenchmarkValiditySweep(b *testing.B) {
-	prof, _ := driver.SubjectByName("T5")
 	var simPts, mvPts []validity.Point
 	for i := 0; i < b.N; i++ {
-		var err error
-		simPts, err = validity.Sweep(validity.Simulator(prof), validity.PaperDelays(), validity.PaperLosses(), 2024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mvPts, err = validity.Sweep(validity.ModelVehicle(), validity.ModelDelays(), validity.PaperLosses(), 2024)
-		if err != nil {
-			b.Fatal(err)
+		simPts, mvPts = validitySweeps(b)
+	}
+	b.ReportMetric(firstDegradedDelayMs(simPts), "sim_delay_degraded_ms")
+	b.ReportMetric(firstDegradedDelayMs(mvPts), "model_delay_degraded_ms")
+	b.ReportMetric(float64(gradeAt(simPts, "loss 10%")), "sim_loss10_grade")
+	b.ReportMetric(float64(gradeAt(mvPts, "loss 10%")), "model_loss10_grade")
+}
+
+// validitySweeps runs the §VIII delay and loss sweeps on the simulator
+// (subject T5) and on the model vehicle.
+func validitySweeps(tb testing.TB) (simPts, mvPts []validity.Point) {
+	tb.Helper()
+	prof, _ := driver.SubjectByName("T5")
+	simPts, err := validity.Sweep(validity.Simulator(prof), validity.PaperDelays(), validity.PaperLosses(), 2024)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mvPts, err = validity.Sweep(validity.ModelVehicle(), validity.ModelDelays(), validity.PaperLosses(), 2024)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return simPts, mvPts
+}
+
+// firstDegradedDelayMs is the smallest swept delay (ms) graded worse
+// than "ok", or -1 when every delay stays ok.
+func firstDegradedDelayMs(pts []validity.Point) float64 {
+	for _, p := range pts {
+		if p.Rule.Delay > 0 && p.Grade > validity.DrivOK {
+			return float64(p.Rule.Delay.Milliseconds())
 		}
 	}
-	firstBad := func(pts []validity.Point) float64 {
-		for _, p := range pts {
-			if p.Rule.Delay > 0 && p.Grade > validity.DrivOK {
-				return float64(p.Rule.Delay.Milliseconds())
-			}
+	return -1
+}
+
+// gradeAt is the grade of the sweep point with the given label, or -1
+// when no point carries it.
+func gradeAt(pts []validity.Point, label string) validity.Drivability {
+	for _, p := range pts {
+		if p.Label == label {
+			return p.Grade
 		}
-		return -1
 	}
-	b.ReportMetric(firstBad(simPts), "sim_delay_degraded_ms")
-	b.ReportMetric(firstBad(mvPts), "model_delay_degraded_ms")
-	grade := func(pts []validity.Point, label string) float64 {
-		for _, p := range pts {
-			if p.Label == label {
-				return float64(p.Grade)
-			}
-		}
-		return -1
-	}
-	b.ReportMetric(grade(simPts, "loss 10%"), "sim_loss10_grade")
-	b.ReportMetric(grade(mvPts, "loss 10%"), "model_loss10_grade")
+	return -1
 }
 
 // campaignCellStats walks a campaign result and returns the cell count

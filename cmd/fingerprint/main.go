@@ -6,39 +6,23 @@
 //
 // Usage:
 //
-//	fingerprint [-golden internal/session/testdata/fingerprints.json] [-update] [-pooled]
+//	fingerprint [-golden internal/session/testdata/fingerprints.json] [-update]
 //
 // Without -update it diffs the freshly computed digests against the
 // golden file and exits 1 on any mismatch; with -update it rewrites
-// the golden file.
-//
-// With -pooled every cell is driven TWICE through one shared run
-// arena (session.RunScratch) and one shared scenario.ArtifactCache,
-// and both passes must match the golden: the first pass fills the
-// arena's pools, the second proves that executing out of a recycled
-// arena — reused buffers, timers, world slabs, and cached immutable
-// scenario artifacts — is bit-identical to fresh allocation.
-//
-// With -hub every cell runs as a tenant of one multi-tenant session
-// hub (internal/hub) — all cells concurrently, sharing the hub's
-// artifact cache, arena freelist, and telemetry registry — and each
-// digest must still match the golden recorded when cells ran alone:
-// the tenancy-isolation proof from the command line.
+// the golden file. Arena reuse and multi-tenant hosting are pinned to
+// the same goldens by tests: TestHubSessionsBitIdentical runs every
+// cell twice through one hub, the second pass on recycled arenas.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
-	"teledrive/internal/hub"
 	"teledrive/internal/rds"
-	"teledrive/internal/scenario"
-	"teledrive/internal/session"
-	"teledrive/internal/telemetry"
 )
 
 func main() {
@@ -53,49 +37,16 @@ func run(args []string) error {
 	var (
 		golden = fs.String("golden", "internal/session/testdata/fingerprints.json", "golden fingerprint file")
 		update = fs.Bool("update", false, "rewrite the golden file instead of diffing against it")
-		pooled = fs.Bool("pooled", false, "drive each cell twice through one shared run arena; both passes must match")
-		hubbed = fs.Bool("hub", false, "drive all cells concurrently as tenants of one session hub")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pooled && *hubbed {
-		return fmt.Errorf("-pooled and -hub are mutually exclusive")
-	}
 
-	var (
-		scratch *session.RunScratch
-		arts    *scenario.ArtifactCache
-	)
-	if *pooled {
-		scratch = session.NewRunScratch()
-		arts = scenario.NewArtifactCache()
-	}
-
-	if *hubbed {
-		fresh, err := runHubbed()
-		if err != nil {
-			return err
-		}
-		return settle(fresh, *golden, *update)
-	}
 	fresh := make(map[string]string)
 	for _, cell := range rds.FingerprintCells() {
-		fp, err := rds.RunFingerprintPooled(cell, scratch, arts)
+		fp, err := rds.RunFingerprint(cell)
 		if err != nil {
 			return err
-		}
-		if *pooled {
-			// Second pass through the now-warm arena: recycled buffers,
-			// timers, world slabs, and the cached artifact. Any divergence
-			// here is a pooling bug, not a behaviour change.
-			fp2, err := rds.RunFingerprintPooled(cell, scratch, arts)
-			if err != nil {
-				return fmt.Errorf("pooled rerun: %w", err)
-			}
-			if fp2 != fp {
-				return fmt.Errorf("cell %s: pooled rerun diverges from first pass\n  first  %s\n  rerun  %s", cell.Name, fp, fp2)
-			}
 		}
 		fresh[cell.Name] = fp
 		fmt.Printf("ran  %-40s %.16s…\n", cell.Name, fp)
@@ -152,28 +103,6 @@ func settle(fresh map[string]string, golden string, update bool) error {
 	}
 	fmt.Printf("all %d fingerprints match %s\n", len(want), golden)
 	return nil
-}
-
-// runHubbed computes every cell's digest as a hub tenant: one shared
-// hub, all cells in flight at once.
-func runHubbed() (map[string]string, error) {
-	cells := rds.FingerprintCells()
-	h := hub.New(hub.Config{Workers: len(cells), Metrics: telemetry.NewRegistry()})
-	specs := make([]hub.SessionSpec, len(cells))
-	for i, cell := range cells {
-		cfg := cell.Build()
-		cfg.Events = telemetry.NewEventSink(io.Discard)
-		specs[i] = hub.SessionSpec{BenchConfig: cfg, Name: cell.Name}
-	}
-	fresh := make(map[string]string, len(cells))
-	for i, res := range h.RunMany(specs) {
-		if res.Err != nil {
-			return nil, fmt.Errorf("hub cell %s: %w", cells[i].Name, res.Err)
-		}
-		fresh[cells[i].Name] = res.Digest
-		fmt.Printf("ran  %-40s %.16s… (hub tenant)\n", cells[i].Name, res.Digest)
-	}
-	return fresh, nil
 }
 
 func keys(m map[string]string) []string {

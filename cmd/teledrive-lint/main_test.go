@@ -62,7 +62,7 @@ func TestExpandPatternsWalkAboveCwd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(dirs) < 2 {
-		t.Fatalf("walk from .. found %d package dirs, want at least benchjson and teledrive-lint: %v", len(dirs), dirs)
+		t.Fatalf("walk from .. found %d package dirs, want at least two cmd packages: %v", len(dirs), dirs)
 	}
 	for _, d := range dirs {
 		if strings.Contains(filepath.ToSlash(d), "testdata") {

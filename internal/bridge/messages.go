@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
@@ -219,6 +218,3 @@ func laneInvasionToWire(ev world.LaneInvasionEvent) LaneInvasionWire {
 		Kind: ev.Kind.String(), LaneID: ev.LaneID, Lateral: ev.Lateral,
 	}
 }
-
-// FromWireTime converts a wire timestamp back to a duration.
-func FromWireTime(ns int64) time.Duration { return time.Duration(ns) }

@@ -10,7 +10,6 @@ import (
 	"teledrive/internal/sensors"
 	"teledrive/internal/simclock"
 	"teledrive/internal/transport"
-	"teledrive/internal/vehicle"
 	"teledrive/internal/world"
 )
 
@@ -54,7 +53,6 @@ type Server struct {
 	stopped       bool
 	stats         ServerStats
 	ins           *ServerInstruments // optional telemetry handles; nil = uninstrumented
-	lastControl   vehicle.Control
 
 	// view and sendBuf are reused across camera ticks so the per-frame
 	// capture→marshal→send path does not allocate. Reuse is safe because
@@ -125,9 +123,6 @@ func (s *Server) Ego() *world.Actor { return s.ego }
 
 // Camera returns the server's camera (range adjustments, testing).
 func (s *Server) Camera() *sensors.Camera { return s.cam }
-
-// LastControl returns the most recently applied control command.
-func (s *Server) LastControl() vehicle.Control { return s.lastControl }
 
 // Weather returns the current weather meta-state.
 func (s *Server) Weather() string { return s.weather }
@@ -325,7 +320,6 @@ func (s *Server) handleMessage(payload []byte) {
 			s.stats.ProtocolErrors++
 			return
 		}
-		s.lastControl = c
 		s.ego.Plant.Apply(c)
 		s.stats.ControlsApplied++
 		if s.ins != nil {

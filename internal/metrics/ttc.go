@@ -43,8 +43,7 @@ type TTCCollector struct {
 	// GatingDistance defaults to DefaultTTCGatingDistance when 0.
 	GatingDistance float64
 	samples        []Sample
-	exposure       time.Duration // time with 0 < TTC < threshold (TET)
-	threshold      float64
+	exposure       time.Duration // time with 0 < TTC < DefaultTTCThreshold (TET)
 	lastTime       time.Duration
 	haveLast       bool
 }
@@ -52,11 +51,8 @@ type TTCCollector struct {
 // NewTTCCollector creates a collector with the paper's gating distance
 // and threshold.
 func NewTTCCollector() *TTCCollector {
-	return &TTCCollector{GatingDistance: DefaultTTCGatingDistance, threshold: DefaultTTCThreshold}
+	return &TTCCollector{GatingDistance: DefaultTTCGatingDistance}
 }
-
-// SetThreshold overrides the TET/violation threshold (seconds).
-func (c *TTCCollector) SetThreshold(seconds float64) { c.threshold = seconds }
 
 // Record ingests one tick of ego/lead road positions (metres along the
 // route) and speeds. Samples outside the gating distance or with no
@@ -85,7 +81,7 @@ func (c *TTCCollector) Record(now time.Duration, xEgo, vEgo, xLead, vLead float6
 		return
 	}
 	c.samples = append(c.samples, Sample{Time: now, Value: ttc})
-	if c.haveLast && ttc > 0 && ttc < c.threshold {
+	if c.haveLast && ttc > 0 && ttc < DefaultTTCThreshold {
 		c.exposure += now - c.lastTime
 	}
 	c.lastTime = now
@@ -119,7 +115,7 @@ func (c *TTCCollector) Result() TTCResult {
 	st := Stats(Values(c.samples))
 	violations := 0
 	for _, s := range c.samples {
-		if s.Value > 0 && s.Value < c.threshold {
+		if s.Value > 0 && s.Value < DefaultTTCThreshold {
 			violations++
 		}
 	}

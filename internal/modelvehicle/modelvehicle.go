@@ -127,10 +127,6 @@ type Plant struct {
 	*bridge.Server
 }
 
-// FrameGeometry describes the smartphone camera mounted on the car
-// (the §VIII setup): its usable range at model scale.
-func (p *Plant) FrameGeometry() (rangeM float64) { return p.Camera().Range }
-
 // NewStack is the session.StackBuilder for the model-vehicle
 // environment: the scale-model plant over the datagram
 // (smartphone-camera style) link. Pass it via rds.BenchConfig.NewStack

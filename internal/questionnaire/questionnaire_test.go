@@ -2,6 +2,7 @@ package questionnaire
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"teledrive/internal/campaign"
@@ -40,18 +41,28 @@ func TestQoEBounds(t *testing.T) {
 	}
 }
 
+// The mini campaign every summary test reads; it runs once per test
+// binary, since Summarize and SkillCorrelation only read the result.
+var (
+	miniOnce sync.Once
+	miniRes  *campaign.Result
+	miniErr  error
+)
+
 func miniResult(t *testing.T) *campaign.Result {
 	t.Helper()
-	var subs []driver.Profile
-	for _, n := range []string{"T5", "T10", "T12"} {
-		p, _ := driver.SubjectByName(n)
-		subs = append(subs, p)
+	miniOnce.Do(func() {
+		var subs []driver.Profile
+		for _, n := range []string{"T5", "T10", "T12"} {
+			p, _ := driver.SubjectByName(n)
+			subs = append(subs, p)
+		}
+		miniRes, miniErr = campaign.Run(campaign.Config{Seed: 5, Subjects: subs, ApplyPaperExclusions: true})
+	})
+	if miniErr != nil {
+		t.Fatal(miniErr)
 	}
-	res, err := campaign.Run(campaign.Config{Seed: 5, Subjects: subs, ApplyPaperExclusions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return miniRes
 }
 
 func TestSummarize(t *testing.T) {

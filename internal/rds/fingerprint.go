@@ -10,7 +10,6 @@ import (
 	"teledrive/internal/modelvehicle"
 	"teledrive/internal/netem"
 	"teledrive/internal/scenario"
-	"teledrive/internal/session"
 	"teledrive/internal/telemetry"
 	"teledrive/internal/trace"
 	"teledrive/internal/transport"
@@ -99,21 +98,9 @@ func FingerprintCells() []FingerprintCell {
 // test run, that instrumentation is inert: it consumes no RNG,
 // schedules no clock events, and perturbs no trajectory bit.
 func RunFingerprint(c FingerprintCell) (string, error) {
-	return RunFingerprintPooled(c, nil, nil)
-}
-
-// RunFingerprintPooled is RunFingerprint through a caller-owned run
-// arena and artifact cache (either may be nil). The CI pooled stage
-// drives every canonical cell twice through one RunScratch and checks
-// both digests against the goldens recorded before pooling existed —
-// the proof that a recycled arena is bit-indistinguishable from fresh
-// allocation.
-func RunFingerprintPooled(c FingerprintCell, scratch *session.RunScratch, arts *scenario.ArtifactCache) (string, error) {
 	cfg := c.Build()
 	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Events = telemetry.NewEventSink(io.Discard)
-	cfg.Scratch = scratch
-	cfg.Artifacts = arts
 	out, err := Run(cfg)
 	if err != nil {
 		return "", fmt.Errorf("fingerprint cell %s: %w", c.Name, err)

@@ -98,10 +98,6 @@ func (a *Actor) Accel() float64 {
 	return a.rail.Accel()
 }
 
-// Scripted reports whether the actor rides a rail (true) or is the
-// dynamic remotely-driven plant (false).
-func (a *Actor) Scripted() bool { return a.rail != nil }
-
 // Rail returns the actor's rail, or nil for the dynamic ego.
 func (a *Actor) Rail() *Rail { return a.rail }
 

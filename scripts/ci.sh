@@ -1,8 +1,7 @@
 #!/bin/sh
 # ci.sh — the one-command verification gate for a PR branch:
-# build + vet + lint + race + race-hub + race-search + fingerprint +
-# fingerprint-pooled + fingerprint-hub, in order, stopping at the first
-# failure. Slower batteries are separate opt-ins: `make fuzz`
+# build + vet + lint + race + race-hub + race-search + claims +
+# fingerprint, in order, stopping at the first failure. Slower batteries are separate opt-ins: `make fuzz`
 # (hostile-input budget), `make race-dist` (full distributed campaign
 # battery over localhost TCP), `make bench` (paper tables).
 #
@@ -27,11 +26,9 @@ stage "make race-hub (internal/hub chaos battery + cmd/teleop local demo)"
 make race-hub
 stage make race-search
 make race-search
+stage "make claims (paper claims on seeds 1-4)"
+make claims
 stage make fingerprint
 make fingerprint
-stage make fingerprint-pooled
-make fingerprint-pooled
-stage make fingerprint-hub
-make fingerprint-hub
 
 stage "ci: all gates passed"
