@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race race-dist race-hub race-search claims fuzz check ci bench fingerprint fingerprint-update
+.PHONY: build test vet lint lint-json race race-dist race-hub race-search claims fuzz check ci bench fingerprint fingerprint-update perfbench-check
 
 # Tier-1 verification: everything must build, vet clean, lint clean,
 # and pass.
@@ -102,8 +102,8 @@ fuzz:
 check: build vet lint race fuzz
 
 # One-command CI gate: build + vet + lint + race + race-hub +
-# race-search + claims + fingerprint, in order, stopping at the first
-# failure (scripts/ci.sh). Fuzz and the
+# race-search + claims + fingerprint + perfbench-check, in order,
+# stopping at the first failure (scripts/ci.sh). Fuzz and the
 # full distributed battery are the slower `check`/`race-dist` add-ons.
 ci:
 	./scripts/ci.sh
@@ -130,3 +130,10 @@ fingerprint:
 
 fingerprint-update:
 	$(GO) run ./cmd/fingerprint -update
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go build ./...` and `go test ./...` here never compile it. It builds
+# against this module's exported API: vet and test it so an API change
+# cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

@@ -91,7 +91,4 @@ func TestTotalFailedInjectionsAndControlsDropped(t *testing.T) {
 	if got := res.TotalFailedInjections(); got != 11 {
 		t.Fatalf("TotalFailedInjections = %d, want 11", got)
 	}
-	if got := res.TotalControlsDropped(); got != 10 {
-		t.Fatalf("TotalControlsDropped = %d, want 10", got)
-	}
 }

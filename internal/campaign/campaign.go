@@ -151,18 +151,6 @@ func (r *Result) TotalFailedInjections() int {
 	return total
 }
 
-// TotalControlsDropped sums operator commands lost to a saturated
-// uplink send window over every drive of the campaign.
-func (r *Result) TotalControlsDropped() uint64 {
-	var total uint64
-	for _, sub := range r.Subjects {
-		for _, res := range sub.allResults() {
-			total += res.Outcome.ControlsDropped
-		}
-	}
-	return total
-}
-
 // allResults enumerates the subject's non-nil drive results in protocol
 // order.
 func (s *SubjectResult) allResults() []*core.Result {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"teledrive/internal/faultinject"
 	"teledrive/internal/metrics"
 	"teledrive/internal/scenario"
 	"teledrive/internal/trace"
@@ -263,13 +262,4 @@ func analyzeKinematics(a *Analysis, log *trace.RunLog) {
 	}
 	a.SpeedStats = metrics.Stats(speeds)
 	a.AccelStats = metrics.Stats(accels)
-}
-
-// ConditionLabels returns the analysis condition labels in table order.
-func ConditionLabels() []string {
-	out := make([]string, 0, 6)
-	for _, c := range faultinject.AllConditions() {
-		out = append(out, c.String())
-	}
-	return out
 }

@@ -154,19 +154,6 @@ func TestAnalyzeRunPerConditionCollisions(t *testing.T) {
 	}
 }
 
-func TestConditionLabels(t *testing.T) {
-	labels := ConditionLabels()
-	want := []string{"NFI", "5ms", "25ms", "50ms", "2%", "5%"}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %v", labels)
-	}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v", labels)
-		}
-	}
-}
-
 func TestSRRSegmentationNoCrossBoundaryReversals(t *testing.T) {
 	// A log whose steering is constant inside each condition span but
 	// jumps at the boundary: per-condition SRR must be 0 everywhere

@@ -37,61 +37,51 @@ func AllConditions() []Condition {
 	return append([]Condition{CondNFI}, FaultConditions()...)
 }
 
-// Valid reports whether c is one of the defined conditions.
-func (c Condition) Valid() bool {
-	for _, k := range AllConditions() {
-		if c == k {
-			return true
-		}
-	}
-	return false
+// conditions defines each condition once, as the labelled rule it
+// injects, indexed by Condition. CondNFI is the zero rule (transparent
+// link).
+var conditions = [...]struct {
+	label string
+	rule  netem.Rule
+}{
+	CondNFI:     {"NFI", netem.Rule{}},
+	CondDelay5:  {"5ms", netem.Rule{Delay: 5 * time.Millisecond}},
+	CondDelay25: {"25ms", netem.Rule{Delay: 25 * time.Millisecond}},
+	CondDelay50: {"50ms", netem.Rule{Delay: 50 * time.Millisecond}},
+	CondLoss2:   {"2%", netem.Rule{Loss: 0.02}},
+	CondLoss5:   {"5%", netem.Rule{Loss: 0.05}},
 }
+
+// Valid reports whether c is one of the defined conditions.
+func (c Condition) Valid() bool { return c >= 0 && int(c) < len(conditions) }
 
 // String returns the table label of the condition.
 func (c Condition) String() string {
-	switch c {
-	case CondNFI:
-		return "NFI"
-	case CondDelay5:
-		return "5ms"
-	case CondDelay25:
-		return "25ms"
-	case CondDelay50:
-		return "50ms"
-	case CondLoss2:
-		return "2%"
-	case CondLoss5:
-		return "5%"
-	default:
+	if !c.Valid() {
 		return fmt.Sprintf("cond(%d)", int(c))
 	}
+	return conditions[c].label
 }
 
-// IsDelay reports whether the condition is a delay fault.
-func (c Condition) IsDelay() bool {
-	return c == CondDelay5 || c == CondDelay25 || c == CondDelay50
-}
-
-// IsLoss reports whether the condition is a packet-loss fault.
-func (c Condition) IsLoss() bool { return c == CondLoss2 || c == CondLoss5 }
-
-// Rule returns the NETEM rule implementing the condition. CondNFI maps
-// to the zero rule (transparent link).
+// Rule returns the NETEM rule implementing the condition. CondNFI and
+// unknown conditions map to the zero rule (transparent link).
 func (c Condition) Rule() netem.Rule {
-	switch c {
-	case CondDelay5:
-		return netem.Rule{Delay: 5 * time.Millisecond}
-	case CondDelay25:
-		return netem.Rule{Delay: 25 * time.Millisecond}
-	case CondDelay50:
-		return netem.Rule{Delay: 50 * time.Millisecond}
-	case CondLoss2:
-		return netem.Rule{Loss: 0.02}
-	case CondLoss5:
-		return netem.Rule{Loss: 0.05}
-	default:
+	if !c.Valid() {
 		return netem.Rule{}
 	}
+	return conditions[c].rule
+}
+
+// Assignment returns the condition as the labelled rule an Injector
+// applies — the only place a condition becomes a rule. An unknown
+// condition is refused (its rule would silently impair nothing while
+// the run counts as faulted); the returned assignment still carries
+// its label for the error record.
+func (c Condition) Assignment() (RuleAssignment, error) {
+	if !c.Valid() {
+		return RuleAssignment{Label: c.String()}, fmt.Errorf("faultinject: inject unknown condition %d", int(c))
+	}
+	return RuleAssignment{Rule: c.Rule(), Label: c.String()}, nil
 }
 
 // ConditionByLabel parses a table label back into a condition.
@@ -130,18 +120,13 @@ func (d Direction) String() string {
 	}
 }
 
-// condCustom marks an injector whose active rule came from InjectRule
-// rather than one of the five canonical conditions. It is deliberately
-// not Valid(): only InjectRule can activate it, and its label comes
-// from the RuleAssignment, never from Condition.String().
-const condCustom Condition = -1
-
-// RuleAssignment is an arbitrary netem rule injected at one POI in
-// place of a canonical condition — the adversarial search's perturbed
-// fault space (delay/jitter/loss magnitudes between and beyond the
-// paper's five columns). Label names the rule in run logs and analysis
-// tables; it must be non-empty and must not collide with the canonical
-// labels unless the rule really is that condition.
+// RuleAssignment is one labelled netem rule injected at one POI — the
+// only thing an Injector applies. A paper condition becomes one through
+// Condition.Assignment; the adversarial search builds its own for the
+// perturbed fault space (delay/jitter/loss magnitudes between and
+// beyond the paper's five columns). Label names the rule in run logs
+// and analysis tables; it must be non-empty and must not collide with
+// the canonical labels unless the rule really is that condition.
 type RuleAssignment struct {
 	Rule  netem.Rule
 	Label string
@@ -155,20 +140,20 @@ func (a *RuleAssignment) Validate() error {
 	return a.Rule.Validate()
 }
 
-// Injector applies fault conditions to a duplex link pair, mirroring
-// the paper's bidirectional loopback injection, and reports every rule
-// change to an optional log sink.
+// Injector applies labelled fault rules to a duplex link pair,
+// mirroring the paper's bidirectional loopback injection, and reports
+// every rule change to an optional log sink.
 type Injector struct {
 	// OnChange, when non-nil, receives every rule add/delete with the
-	// condition label (feeds trace.Recorder.RecordFault).
+	// label of the injected rule ("NFI" while nothing is injected; feeds
+	// trace.Recorder.RecordFault).
 	OnChange func(now time.Duration, link, action, desc, label string)
 	// Direction defaults to Bidirectional (the paper's setup).
 	Direction Direction
 
-	links       *netem.Duplex
-	active      Condition
-	activeLabel string // non-empty only while a custom rule is active
-	now         func() time.Duration
+	links  *netem.Duplex
+	active string // label of the injected rule; "" while the links are clean
+	now    func() time.Duration
 }
 
 // NewInjector wires an injector to the session links. now supplies the
@@ -180,66 +165,28 @@ func NewInjector(links *netem.Duplex, now func() time.Duration) (*Injector, erro
 	inj := &Injector{links: links, now: now}
 	links.OnRuleChanged(func(t time.Duration, link, action, desc string) {
 		if inj.OnChange != nil {
-			inj.OnChange(t, link, action, desc, inj.label())
+			label := inj.active
+			if label == "" {
+				label = CondNFI.String()
+			}
+			inj.OnChange(t, link, action, desc, label)
 		}
 	})
 	return inj, nil
 }
 
-// label is the log label of the active injection: the custom rule's
-// label when one is active, else the canonical condition label.
-func (i *Injector) label() string {
-	if i.activeLabel != "" {
-		return i.activeLabel
-	}
-	return i.active.String()
-}
+// Active reports whether a rule is injected.
+func (i *Injector) Active() bool { return i.active != "" }
 
-// Active returns the currently injected condition (CondNFI when the
-// links are clean).
-func (i *Injector) Active() Condition { return i.active }
-
-// Inject applies the condition per the injector's direction. Injecting
-// CondNFI is equivalent to Clear.
-func (i *Injector) Inject(c Condition) error {
-	if c == CondNFI {
-		i.Clear()
-		return nil
-	}
-	// An unknown condition maps to the empty rule: injecting it would
-	// silently impair nothing while the run counts as faulted.
-	if !c.Valid() {
-		return fmt.Errorf("faultinject: inject unknown condition %d", int(c))
-	}
-	i.active = c
-	var err error
-	switch i.Direction {
-	case DownlinkOnly:
-		err = i.links.Down.AddRule(c.Rule())
-	case UplinkOnly:
-		err = i.links.Up.AddRule(c.Rule())
-	default:
-		err = i.links.ApplyBoth(c.Rule())
-	}
-	if err != nil {
-		i.active = CondNFI
-		return fmt.Errorf("faultinject: inject %v: %w", c, err)
-	}
-	return nil
-}
-
-// InjectRule applies an arbitrary netem rule per the injector's
-// direction, labelled for the logs — the escape hatch the adversarial
-// search uses to explore fault magnitudes the five canonical conditions
-// never visit. Active() reports a non-NFI sentinel while the rule is
-// in force, so Clear and end-of-run teardown treat it exactly like a
-// canonical injection.
-func (i *Injector) InjectRule(a RuleAssignment) error {
+// Inject applies the labelled rule per the injector's direction. A
+// paper condition arrives here through Condition.Assignment, a search
+// perturbation as its own RuleAssignment: both take this one path.
+func (i *Injector) Inject(a RuleAssignment) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	i.active = condCustom
-	i.activeLabel = a.Label
+	// The label is set before the rule goes in: the add records carry it.
+	i.active = a.Label
 	var err error
 	switch i.Direction {
 	case DownlinkOnly:
@@ -250,17 +197,16 @@ func (i *Injector) InjectRule(a RuleAssignment) error {
 		err = i.links.ApplyBoth(a.Rule)
 	}
 	if err != nil {
-		i.active = CondNFI
-		i.activeLabel = ""
-		return fmt.Errorf("faultinject: inject rule %q: %w", a.Label, err)
+		i.active = ""
+		return fmt.Errorf("faultinject: inject %q: %w", a.Label, err)
 	}
 	return nil
 }
 
-// Clear removes any active rule from the directions this injector
-// touches.
+// Clear removes any injected rule from the directions this injector
+// touches. Its delete records carry the injected rule's label.
 func (i *Injector) Clear() {
-	if i.active == CondNFI {
+	if i.active == "" {
 		return
 	}
 	switch i.Direction {
@@ -271,6 +217,5 @@ func (i *Injector) Clear() {
 	default:
 		i.links.ClearBoth()
 	}
-	i.active = CondNFI
-	i.activeLabel = ""
+	i.active = ""
 }

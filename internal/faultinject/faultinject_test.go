@@ -30,22 +30,6 @@ func TestConditionLabels(t *testing.T) {
 	}
 }
 
-func TestConditionClassification(t *testing.T) {
-	for _, c := range []Condition{CondDelay5, CondDelay25, CondDelay50} {
-		if !c.IsDelay() || c.IsLoss() {
-			t.Errorf("%v misclassified", c)
-		}
-	}
-	for _, c := range []Condition{CondLoss2, CondLoss5} {
-		if !c.IsLoss() || c.IsDelay() {
-			t.Errorf("%v misclassified", c)
-		}
-	}
-	if CondNFI.IsDelay() || CondNFI.IsLoss() {
-		t.Error("NFI misclassified")
-	}
-}
-
 func TestConditionRules(t *testing.T) {
 	if r := CondDelay50.Rule(); r.Delay != 50*time.Millisecond || r.Loss != 0 {
 		t.Fatalf("50ms rule = %+v", r)
@@ -68,6 +52,55 @@ func TestConditionSets(t *testing.T) {
 	}
 }
 
+// assignment is c's labelled rule; c must be a defined condition.
+func assignment(t *testing.T, c Condition) RuleAssignment {
+	t.Helper()
+	a, err := c.Assignment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func TestConditionAssignment(t *testing.T) {
+	for _, c := range AllConditions() {
+		a := assignment(t, c)
+		if a.Label != c.String() || a.Rule != c.Rule() {
+			t.Errorf("%v.Assignment() = %+v", c, a)
+		}
+	}
+	a, err := Condition(99).Assignment()
+	if err == nil || err.Error() != "faultinject: inject unknown condition 99" {
+		t.Fatalf("unknown condition error = %v", err)
+	}
+	if a.Label != "cond(99)" {
+		t.Fatalf("unknown condition label = %q", a.Label)
+	}
+	if Condition(-1).Valid() || Condition(6).Valid() {
+		t.Fatal("out-of-range condition reported valid")
+	}
+}
+
+func TestInjectRejectsInvalidAssignment(t *testing.T) {
+	clk := simclock.New()
+	links := netem.NewDuplex(clk, 1, func(netem.Packet) {}, func(netem.Packet) {})
+	inj, _ := NewInjector(links, clk.Now)
+	for _, a := range []RuleAssignment{
+		{Rule: netem.Rule{Delay: 10 * time.Millisecond}},
+		{Rule: netem.Rule{Loss: 2}, Label: "bad-loss"},
+	} {
+		if err := inj.Inject(a); err == nil {
+			t.Fatalf("%+v accepted", a)
+		}
+		if inj.Active() {
+			t.Fatalf("%+v left the injector active", a)
+		}
+		if _, ok := links.Down.Rule(); ok {
+			t.Fatalf("%+v installed a rule", a)
+		}
+	}
+}
+
 func TestInjectorAppliesBidirectionally(t *testing.T) {
 	clk := simclock.New()
 	links := netem.NewDuplex(clk, 1, func(netem.Packet) {}, func(netem.Packet) {})
@@ -75,11 +108,11 @@ func TestInjectorAppliesBidirectionally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inj.Inject(CondDelay25); err != nil {
+	if err := inj.Inject(assignment(t, CondDelay25)); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Active() != CondDelay25 {
-		t.Fatalf("active = %v", inj.Active())
+	if !inj.Active() {
+		t.Fatal("not active after inject")
 	}
 	down, ok1 := links.Down.Rule()
 	up, ok2 := links.Up.Rule()
@@ -90,7 +123,7 @@ func TestInjectorAppliesBidirectionally(t *testing.T) {
 		t.Fatalf("rules = %+v / %+v", down, up)
 	}
 	inj.Clear()
-	if inj.Active() != CondNFI {
+	if inj.Active() {
 		t.Fatal("not cleared")
 	}
 	if _, ok := links.Down.Rule(); ok {
@@ -107,11 +140,19 @@ func TestInjectorLogsChanges(t *testing.T) {
 	inj.OnChange = func(now time.Duration, link, action, desc, label string) {
 		log = append(log, change{link, action, label})
 	}
-	inj.Inject(CondLoss5)
+	inj.Inject(assignment(t, CondLoss5))
 	inj.Clear()
+	// A search rule labels its adds and its Clear's deletes.
+	inj.Inject(RuleAssignment{Rule: netem.Rule{Delay: 37 * time.Millisecond}, Label: "d37ms"})
+	inj.Clear()
+	// A rule applied around the injector is logged under NFI.
+	links.ApplyBoth(netem.Rule{Delay: time.Millisecond})
 	want := []change{
 		{"downlink", "add", "5%"}, {"uplink", "add", "5%"},
 		{"downlink", "delete", "5%"}, {"uplink", "delete", "5%"},
+		{"downlink", "add", "d37ms"}, {"uplink", "add", "d37ms"},
+		{"downlink", "delete", "d37ms"}, {"uplink", "delete", "d37ms"},
+		{"downlink", "add", "NFI"}, {"uplink", "add", "NFI"},
 	}
 	if len(log) != len(want) {
 		t.Fatalf("log = %+v", log)
@@ -123,31 +164,18 @@ func TestInjectorLogsChanges(t *testing.T) {
 	}
 }
 
-func TestInjectNFIEqualsClear(t *testing.T) {
-	clk := simclock.New()
-	links := netem.NewDuplex(clk, 1, func(netem.Packet) {}, func(netem.Packet) {})
-	inj, _ := NewInjector(links, clk.Now)
-	inj.Inject(CondDelay5)
-	if err := inj.Inject(CondNFI); err != nil {
-		t.Fatal(err)
-	}
-	if inj.Active() != CondNFI {
-		t.Fatal("NFI injection did not clear")
-	}
-}
-
 func TestInjectorSwitchesConditions(t *testing.T) {
 	clk := simclock.New()
 	links := netem.NewDuplex(clk, 1, func(netem.Packet) {}, func(netem.Packet) {})
 	inj, _ := NewInjector(links, clk.Now)
-	inj.Inject(CondDelay5)
-	inj.Inject(CondLoss2)
+	inj.Inject(assignment(t, CondDelay5))
+	inj.Inject(assignment(t, CondLoss2))
 	down, _ := links.Down.Rule()
 	if down.Loss != 0.02 || down.Delay != 0 {
 		t.Fatalf("rule after switch = %+v", down)
 	}
-	if inj.Active() != CondLoss2 {
-		t.Fatalf("active = %v", inj.Active())
+	if !inj.Active() {
+		t.Fatal("not active after switch")
 	}
 	// Double clear is a no-op.
 	inj.Clear()
@@ -197,7 +225,7 @@ func TestInjectorDirectional(t *testing.T) {
 			t.Fatal(err)
 		}
 		inj.Direction = tc.dir
-		if err := inj.Inject(CondDelay25); err != nil {
+		if err := inj.Inject(assignment(t, CondDelay25)); err != nil {
 			t.Fatal(err)
 		}
 		_, down := links.Down.Rule()
@@ -212,7 +240,7 @@ func TestInjectorDirectional(t *testing.T) {
 		if _, u := links.Up.Rule(); u {
 			t.Fatalf("%v: up rule survived clear", tc.dir)
 		}
-		if inj.Active() != CondNFI {
+		if inj.Active() {
 			t.Fatalf("%v: still active after clear", tc.dir)
 		}
 	}

@@ -114,11 +114,6 @@ func DriverConfig() driver.Config {
 	}
 }
 
-// PlantSpec returns the model car plant specification. The scenario
-// builder spawns a sedan by default; model-vehicle runs replace the ego
-// via BuildWithPlant.
-func PlantSpec() vehicle.Spec { return vehicle.ScaledModelCar() }
-
 // Plant is the scale-model vehicle subsystem: the paper's RC car with
 // its smartphone-camera uplink. It speaks the same bridge protocol as
 // the simulator plant — the session layer cannot tell them apart — and

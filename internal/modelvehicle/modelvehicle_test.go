@@ -66,7 +66,12 @@ func TestDriverConfigValid(t *testing.T) {
 }
 
 func TestPlantSpec(t *testing.T) {
-	spec := PlantSpec()
+	// The course spawns the scale-model plant the validity runs drive.
+	b, err := Course().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := b.Ego.Plant.Spec()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}

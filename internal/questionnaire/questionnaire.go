@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"teledrive/internal/campaign"
-	"teledrive/internal/driver"
 )
 
 // Answers is one subject's completed questionnaire.
@@ -194,6 +193,3 @@ func SkillCorrelation(res *campaign.Result) (gamerRatio, nonGamerRatio float64, 
 	}
 	return gamerRatio, nonGamerRatio, gamers, nonGamers
 }
-
-// Profiles re-exports the subject set for convenience in examples.
-func Profiles() []driver.Profile { return driver.Subjects() }

@@ -115,12 +115,6 @@ func TestSkillCorrelation(t *testing.T) {
 	}
 }
 
-func TestProfilesReExport(t *testing.T) {
-	if len(Profiles()) != 12 {
-		t.Fatal("profiles re-export broken")
-	}
-}
-
 func TestEmptySummary(t *testing.T) {
 	s := Summarize(&campaign.Result{})
 	if s.Subjects != 0 || s.QoEMin != 0 {

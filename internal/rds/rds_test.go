@@ -157,6 +157,51 @@ func TestFaultsInjectedAtPOIs(t *testing.T) {
 	}
 }
 
+// TestRulePathEqualsConditionPath pins the adversarial search's fault
+// path to the campaign's: each POI-injected fingerprint cell, re-run
+// with every condition handed over as the equivalent labelled rule
+// (FaultRules) instead of as a condition (FaultAssignments), must give
+// the same outcome digest.
+func TestRulePathEqualsConditionPath(t *testing.T) {
+	cells := 0
+	for _, cell := range FingerprintCells() {
+		if cell.Build().FaultAssignments == nil {
+			continue
+		}
+		cells++
+		t.Run(cell.Name, func(t *testing.T) {
+			t.Parallel()
+			byCondition, err := Run(cell.Build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := OutcomeDigest(byCondition)
+
+			cfg := cell.Build()
+			cfg.FaultRules = make([]*faultinject.RuleAssignment, len(cfg.FaultAssignments))
+			for i, c := range cfg.FaultAssignments {
+				if c != faultinject.CondNFI {
+					cfg.FaultRules[i] = &faultinject.RuleAssignment{Rule: c.Rule(), Label: c.String()}
+				}
+			}
+			cfg.FaultAssignments = nil
+			byRule, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if byRule.Injected == 0 {
+				t.Fatal("rule path injected nothing")
+			}
+			if got := OutcomeDigest(byRule); got != want {
+				t.Fatalf("rule path digest\n %s\nwant (condition path)\n %s", got, want)
+			}
+		})
+	}
+	if cells != 3 {
+		t.Fatalf("%d POI-injected fingerprint cells, want 3", cells)
+	}
+}
+
 func TestEachPOIFiresOnce(t *testing.T) {
 	scn := scenario.FollowVehicle()
 	assign := make([]faultinject.Condition, len(scn.POIs))

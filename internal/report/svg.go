@@ -8,7 +8,6 @@ import (
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/metrics"
-	"teledrive/internal/trace"
 )
 
 // WriteFig4SVG renders the paper's Fig 4 as a standalone SVG: the
@@ -76,69 +75,6 @@ func WriteFig4SVG(w io.Writer, f campaign.Fig4Data) error {
 
 	panel(gap+20, "faulty run", f.Faulty, f.FaultyOK, f.FaultyTime.Seconds(), "#c0392b")
 	panel(gap+20+panelH+gap, "golden run", f.Golden, f.GoldenOK, f.GoldenTime.Seconds(), "#2471a3")
-	sb.WriteString(`</svg>`)
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// WriteTrajectorySVG renders a run's ego trajectory as an SVG top-down
-// map, with collision markers.
-func WriteTrajectorySVG(w io.Writer, log *trace.RunLog) error {
-	if len(log.Ego) == 0 {
-		return fmt.Errorf("report: run log has no ego telemetry")
-	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, e := range log.Ego {
-		minX, maxX = math.Min(minX, e.X), math.Max(maxX, e.X)
-		minY, maxY = math.Min(minY, e.Y), math.Max(maxY, e.Y)
-	}
-	spanX := math.Max(maxX-minX, 1)
-	spanY := math.Max(maxY-minY, 1)
-	const width = 900
-	const margin = 30
-	scale := float64(width-2*margin) / spanX
-	height := int(spanY*scale) + 2*margin
-	if height < 160 {
-		height = 160
-	}
-
-	px := func(x float64) float64 { return margin + (x-minX)*scale }
-	py := func(y float64) float64 { return float64(height) - (margin + (y-minY)*scale) }
-
-	var sb strings.Builder
-	sb.WriteString(fmt.Sprintf(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
-		width, height, width, height))
-	sb.WriteString(`<style>text{font-family:sans-serif;font-size:12px}</style>`)
-	sb.WriteString(fmt.Sprintf(`<text x="%d" y="16">%s — %s (%s)</text>`,
-		margin, escape(log.Subject), escape(log.Scenario), escape(log.RunType)))
-
-	var path strings.Builder
-	step := len(log.Ego)/4000 + 1
-	for i := 0; i < len(log.Ego); i += step {
-		e := log.Ego[i]
-		if path.Len() == 0 {
-			path.WriteString(fmt.Sprintf("M%.1f %.1f", px(e.X), py(e.Y)))
-		} else {
-			path.WriteString(fmt.Sprintf(" L%.1f %.1f", px(e.X), py(e.Y)))
-		}
-	}
-	sb.WriteString(fmt.Sprintf(`<path d="%s" fill="none" stroke="#2471a3" stroke-width="1.5"/>`, path.String()))
-
-	for _, c := range log.Collisions {
-		for _, e := range log.Ego {
-			if e.Time >= c.Time {
-				sb.WriteString(fmt.Sprintf(
-					`<circle cx="%.1f" cy="%.1f" r="5" fill="none" stroke="#c0392b" stroke-width="2"/>`,
-					px(e.X), py(e.Y)))
-				break
-			}
-		}
-	}
-	start, end := log.Ego[0], log.Ego[len(log.Ego)-1]
-	sb.WriteString(fmt.Sprintf(`<circle cx="%.1f" cy="%.1f" r="4" fill="#27ae60"/>`, px(start.X), py(start.Y)))
-	sb.WriteString(fmt.Sprintf(`<rect x="%.1f" y="%.1f" width="8" height="8" fill="#8e44ad"/>`,
-		px(end.X)-4, py(end.Y)-4))
 	sb.WriteString(`</svg>`)
 	_, err := io.WriteString(w, sb.String())
 	return err

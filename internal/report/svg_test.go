@@ -8,7 +8,6 @@ import (
 
 	"teledrive/internal/campaign"
 	"teledrive/internal/metrics"
-	"teledrive/internal/trace"
 )
 
 func fig4Fixture() campaign.Fig4Data {
@@ -65,33 +64,5 @@ func TestWriteFig4SVGEscapesNames(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "<script>") {
 		t.Fatal("subject name not escaped")
-	}
-}
-
-func TestWriteTrajectorySVG(t *testing.T) {
-	log := &trace.RunLog{Subject: "T5", Scenario: "follow-vehicle", RunType: "faulty"}
-	for i := 0; i < 500; i++ {
-		log.Ego = append(log.Ego, trace.EgoRecord{
-			Time: time.Duration(i) * 20 * time.Millisecond,
-			X:    float64(i), Y: 20 * float64(i%7) / 7,
-		})
-	}
-	log.Collisions = append(log.Collisions, trace.CollisionRecord{Time: 5 * time.Second})
-	var buf bytes.Buffer
-	if err := WriteTrajectorySVG(&buf, log); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "<circle") {
-		t.Fatal("collision marker missing")
-	}
-	if !strings.Contains(out, "<path") {
-		t.Fatal("trajectory path missing")
-	}
-}
-
-func TestWriteTrajectorySVGEmpty(t *testing.T) {
-	if err := WriteTrajectorySVG(&bytes.Buffer{}, &trace.RunLog{}); err == nil {
-		t.Fatal("empty log accepted")
 	}
 }

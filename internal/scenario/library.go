@@ -233,13 +233,3 @@ func ByName(name string) (*Scenario, bool) {
 func TestScenarios() []*Scenario {
 	return []*Scenario{FollowVehicle(), LaneChangeSlalom(), Overtake()}
 }
-
-// TotalPOIs counts the fault-injection opportunities across a full test
-// run (all scenarios).
-func TotalPOIs() int {
-	n := 0
-	for _, s := range TestScenarios() {
-		n += len(s.POIs)
-	}
-	return n
-}

@@ -177,7 +177,11 @@ func TestTrainingHasNoTrafficOrPOIs(t *testing.T) {
 func TestTotalPOIsSupportsPaperFaultCounts(t *testing.T) {
 	// Table II's largest per-subject fault count is 14; a full test run
 	// must offer at least that many injection points.
-	if got := TotalPOIs(); got < 14 {
+	got := 0
+	for _, s := range TestScenarios() {
+		got += len(s.POIs)
+	}
+	if got < 14 {
 		t.Fatalf("total POIs = %d, want ≥ 14", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"teledrive/internal/driver"
 	"teledrive/internal/faultinject"
 	"teledrive/internal/geom"
+	"teledrive/internal/netem"
 	"teledrive/internal/scenario"
 	"teledrive/internal/simclock"
 	"teledrive/internal/trace"
@@ -332,11 +333,114 @@ func TestPOISupervisorCountsFailedInjections(t *testing.T) {
 	found := false
 	for _, f := range log.Faults {
 		if f.Action == "error" {
-			found = true
+			found = found || f.Label == "cond(99)" && f.Desc == "faultinject: inject unknown condition 99"
 		}
 	}
 	if !found {
-		t.Fatal("failed injection left no action=error fault record")
+		t.Fatalf("failed injection left no action=error fault record labelled cond(99): %+v", log.Faults)
+	}
+}
+
+// poiHarness is a supervisor over the follow scenario's real links
+// whose ego the test places by route station, one OnTick per move.
+type poiHarness struct {
+	sup   *POISupervisor
+	inj   *faultinject.Injector
+	down  *netem.Link
+	log   *trace.RunLog
+	scn   *scenario.Scenario
+	built *scenario.Built
+	now   time.Duration
+}
+
+func newPOIHarness(t *testing.T, assign []faultinject.Condition, rules []*faultinject.RuleAssignment) *poiHarness {
+	t.Helper()
+	clock, built, stack := buildStack(t)
+	scn := scenario.FollowVehicle()
+	inj, err := faultinject.NewInjector(stack.Links, clock.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &trace.RunLog{}
+	spine := Observers{Record(trace.NewPassiveRecorder(built.World, built.Ego, built.Route, log))}
+	inj.OnChange = spine.Fault
+	sup := NewPOISupervisor(scn, built.Ego, built.Route, inj, assign, spine)
+	sup.SetRuleAssignments(rules)
+	return &poiHarness{sup: sup, inj: inj, down: stack.Links.Down, log: log, scn: scn, built: built}
+}
+
+// driveTo places the ego at route station st and ticks the supervisor.
+func (h *poiHarness) driveTo(st float64) {
+	h.now += time.Second
+	h.built.Ego.Plant.SetState(vehicle.State{Pose: h.built.Route.PoseAt(st)})
+	h.sup.OnTick(h.now)
+}
+
+// mid is the middle station of POI i; gap lies between POIs i and i+1.
+func (h *poiHarness) mid(i int) float64 { return (h.scn.POIs[i].From + h.scn.POIs[i].To) / 2 }
+func (h *poiHarness) gap(i int) float64 { return (h.scn.POIs[i].To + h.scn.POIs[i+1].From) / 2 }
+
+func TestPOISupervisorRuleOverrideWins(t *testing.T) {
+	assign := make([]faultinject.Condition, len(scenario.FollowVehicle().POIs))
+	assign[0] = faultinject.CondDelay50
+	assign[1] = faultinject.CondLoss2
+	rules := make([]*faultinject.RuleAssignment, len(assign))
+	rules[0] = &faultinject.RuleAssignment{Rule: netem.Rule{Delay: 7 * time.Millisecond}, Label: "d7ms"}
+	h := newPOIHarness(t, assign, rules)
+
+	h.driveTo(h.mid(0))
+	if r, ok := h.down.Rule(); !ok || r.Delay != 7*time.Millisecond {
+		t.Fatalf("POI 0 rule = %+v (installed %v), want the 7 ms override", r, ok)
+	}
+	h.driveTo(h.gap(0))
+	if h.inj.Active() {
+		t.Fatal("override not cleared on POI exit")
+	}
+	// POI 1 has no override: its condition applies.
+	h.driveTo(h.mid(1))
+	if r, ok := h.down.Rule(); !ok || r.Loss != 0.02 {
+		t.Fatalf("POI 1 rule = %+v (installed %v), want the 2%% condition", r, ok)
+	}
+	h.sup.Finish(h.now)
+
+	if h.sup.Injected() != 2 || h.sup.FailedInjections() != 0 {
+		t.Fatalf("injected=%d failed=%d, want 2/0", h.sup.Injected(), h.sup.FailedInjections())
+	}
+	var spans []string
+	for _, sp := range h.log.ConditionSpans {
+		spans = append(spans, sp.Label)
+	}
+	if fmt.Sprint(spans) != "[d7ms 2%]" {
+		t.Fatalf("condition spans = %q", spans)
+	}
+	for _, f := range h.log.Faults {
+		if f.Label == "50ms" {
+			t.Fatalf("overridden condition reached the links: %+v", f)
+		}
+	}
+}
+
+func TestPOISupervisorInvalidRuleFailsOnce(t *testing.T) {
+	rules := make([]*faultinject.RuleAssignment, len(scenario.FollowVehicle().POIs))
+	rules[0] = &faultinject.RuleAssignment{Rule: netem.Rule{Delay: 7 * time.Millisecond}}
+	h := newPOIHarness(t, nil, rules)
+
+	h.driveTo(h.mid(0))
+	h.driveTo(h.gap(0))
+	h.driveTo(h.mid(0)) // re-entry: the POI has already fired
+	h.sup.Finish(h.now)
+
+	if h.sup.FailedInjections() != 1 || h.sup.Injected() != 0 {
+		t.Fatalf("failed=%d injected=%d, want 1/0", h.sup.FailedInjections(), h.sup.Injected())
+	}
+	if len(h.log.Faults) != 1 || h.log.Faults[0].Action != "error" {
+		t.Fatalf("fault records = %+v, want one action=error", h.log.Faults)
+	}
+	if len(h.log.ConditionSpans) != 0 {
+		t.Fatalf("refused rule opened spans %+v", h.log.ConditionSpans)
+	}
+	if h.inj.Active() {
+		t.Fatal("refused rule left the injector active")
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 
 // POISupervisor implements the paper's scenario supervision (§V-E):
 // it tracks the ego's route station every physics tick, injects the
-// assigned fault condition when the ego enters a point of interest,
-// clears it on exit, and ends the scenario at the end station. Each
-// POI fires at most once (one fault per situation of interest).
+// POI's fault when the ego enters a point of interest, clears it on
+// exit, and ends the scenario at the end station. A POI's fault is one
+// labelled rule — its rule override, else its condition's assignment —
+// so paper conditions and search perturbations take the same path.
+// Each POI fires at most once (one fault per situation of interest).
 //
 // A nil injector (a link without a fault surface) disables injection;
 // station tracking and end detection still run.
@@ -61,12 +63,19 @@ func (s *POISupervisor) SetRuleAssignments(rules []*faultinject.RuleAssignment) 
 	s.rules = rules
 }
 
-// ruleAt returns the rule override for POI i, if any.
-func (s *POISupervisor) ruleAt(i int) *faultinject.RuleAssignment {
-	if i < 0 || i >= len(s.rules) {
-		return nil
+// faultAt resolves POI i to the one labelled rule injected there: the
+// rule override when set, else the condition's assignment. ok is false
+// when there is nothing to inject (no assignment, or NFI); err is a
+// condition the injector would refuse, its label still in a.
+func (s *POISupervisor) faultAt(i int) (a faultinject.RuleAssignment, ok bool, err error) {
+	if i < len(s.rules) && s.rules[i] != nil {
+		return *s.rules[i], true, nil
 	}
-	return s.rules[i]
+	if s.assign == nil || s.assign[i] == faultinject.CondNFI {
+		return a, false, nil
+	}
+	a, err = s.assign[i].Assignment()
+	return a, true, err
 }
 
 // OnTick implements Supervisor: POI transitions and end detection.
@@ -83,36 +92,26 @@ func (s *POISupervisor) OnTick(now time.Duration) {
 			}
 		}
 		if cur != s.activePOI {
-			if s.activePOI >= 0 && s.inj.Active() != faultinject.CondNFI {
+			if s.activePOI >= 0 && s.inj.Active() {
 				s.inj.Clear()
 				s.spine.Condition(now, "")
 			}
 			s.activePOI = cur
 			if cur >= 0 && !s.fired[cur] {
-				switch {
-				case s.ruleAt(cur) != nil:
+				if a, ok, err := s.faultAt(cur); ok {
 					s.fired[cur] = true
-					r := s.ruleAt(cur)
-					if err := s.inj.InjectRule(*r); err != nil {
+					if err == nil {
+						err = s.inj.Inject(a)
+					}
+					if err != nil {
 						// A refused injection is a test-execution fault,
 						// not a silent no-op: log it and count it so the
 						// outcome can flag the cell invalid.
 						s.failed++
-						s.spine.Fault(now, "both", "error", err.Error(), r.Label)
+						s.spine.Fault(now, "both", "error", err.Error(), a.Label)
 					} else {
-						s.spine.Condition(now, r.Label)
+						s.spine.Condition(now, a.Label)
 						s.injected++
-					}
-				case s.assign != nil:
-					s.fired[cur] = true
-					if cond := s.assign[cur]; cond != faultinject.CondNFI {
-						if err := s.inj.Inject(cond); err != nil {
-							s.failed++
-							s.spine.Fault(now, "both", "error", err.Error(), cond.String())
-						} else {
-							s.spine.Condition(now, cond.String())
-							s.injected++
-						}
 					}
 				}
 			}
@@ -130,7 +129,7 @@ func (s *POISupervisor) Done() bool { return s.done }
 // Finish implements Supervisor: clears any fault still injected at run
 // end and closes its condition span.
 func (s *POISupervisor) Finish(now time.Duration) {
-	if s.inj != nil && s.inj.Active() != faultinject.CondNFI {
+	if s.inj != nil && s.inj.Active() {
 		s.inj.Clear()
 		s.spine.Condition(now, "")
 	}

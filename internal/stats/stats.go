@@ -281,42 +281,3 @@ func MannWhitneyU(a, b []float64) (UTestResult, error) {
 func normalSF(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
-
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for
-// the mean at the given level (e.g. 0.95), using a deterministic
-// linear-congruential resampler so results are reproducible.
-func BootstrapMeanCI(xs []float64, level float64, resamples int, seed uint64) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, fmt.Errorf("%w: need ≥2 samples", ErrTooFewSamples)
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("stats: confidence level %v outside (0,1)", level)
-	}
-	if resamples < 100 {
-		resamples = 100
-	}
-	state := seed | 1
-	next := func() uint64 {
-		// xorshift64*
-		state ^= state >> 12
-		state ^= state << 25
-		state ^= state >> 27
-		return state * 0x2545F4914F6CDD1D
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		var s float64
-		for i := 0; i < len(xs); i++ {
-			s += xs[next()%uint64(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	loIdx := int(alpha * float64(resamples))
-	hiIdx := int((1 - alpha) * float64(resamples))
-	if hiIdx >= resamples {
-		hiIdx = resamples - 1
-	}
-	return means[loIdx], means[hiIdx], nil
-}

@@ -244,38 +244,3 @@ func TestNormalSF(t *testing.T) {
 		t.Fatalf("normalSF(0) = %v", p)
 	}
 }
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapMeanCI(xs, 0.95, 2000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("CI inverted: [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%v, %v] misses the true mean", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Fatalf("CI [%v, %v] too wide for n=200", lo, hi)
-	}
-	// Deterministic given the seed.
-	lo2, hi2, _ := BootstrapMeanCI(xs, 0.95, 2000, 42)
-	if lo != lo2 || hi != hi2 {
-		t.Fatal("bootstrap not reproducible")
-	}
-}
-
-func TestBootstrapErrors(t *testing.T) {
-	if _, _, err := BootstrapMeanCI([]float64{1}, 0.95, 100, 1); err == nil {
-		t.Fatal("single sample accepted")
-	}
-	if _, _, err := BootstrapMeanCI([]float64{1, 2}, 1.5, 100, 1); err == nil {
-		t.Fatal("bad level accepted")
-	}
-}

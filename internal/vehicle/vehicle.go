@@ -276,12 +276,3 @@ func (v *Vehicle) Step(dt float64) {
 	st.Pose.Yaw = geom.NormalizeAngle(st.Pose.Yaw + yawRate*dt)
 	st.Pose.Pos = st.Pose.Pos.Add(geom.UnitFromAngle(st.Pose.Yaw).Scale(st.Speed * dt))
 }
-
-// StoppingDistance estimates the distance needed to brake to rest from
-// speed v using the spec's full braking power, including a reaction delay
-// during which the vehicle keeps its speed. Used by driver models and the
-// safety analysis.
-func (s Spec) StoppingDistance(v, reactionDelay float64) float64 {
-	v = math.Abs(v)
-	return v*reactionDelay + v*v/(2*s.MaxBrake)
-}

@@ -239,19 +239,6 @@ func TestVelocityVector(t *testing.T) {
 	}
 }
 
-func TestStoppingDistance(t *testing.T) {
-	spec := Sedan()
-	// 20 m/s, 1 s reaction: 20 + 400/16 = 45 m.
-	got := spec.StoppingDistance(20, 1)
-	want := 20 + 20*20/(2*spec.MaxBrake)
-	if !floatApprox(got, want, 1e-9) {
-		t.Fatalf("StoppingDistance = %v, want %v", got, want)
-	}
-	if spec.StoppingDistance(0, 1) != 0 {
-		t.Fatal("stopping distance at rest should be 0")
-	}
-}
-
 func TestStepZeroOrNegativeDTIsNoOp(t *testing.T) {
 	v := MustNew(Sedan(), geom.Pose{})
 	v.SetState(State{Speed: 10})

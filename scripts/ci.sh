@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the one-command verification gate for a PR branch:
 # build + vet + lint + race + race-hub + race-search + claims +
-# fingerprint, in order, stopping at the first failure. Slower batteries are separate opt-ins: `make fuzz`
+# fingerprint + perfbench-check, in order, stopping at the first
+# failure. Slower batteries are separate opt-ins: `make fuzz`
 # (hostile-input budget), `make race-dist` (full distributed campaign
 # battery over localhost TCP), `make bench` (paper tables).
 #
@@ -30,5 +31,7 @@ stage "make claims (paper claims on seeds 1-4)"
 make claims
 stage make fingerprint
 make fingerprint
+stage "make perfbench-check (the perfbench module against this API)"
+make perfbench-check
 
 stage "ci: all gates passed"
